@@ -40,7 +40,6 @@ from .bounds import (
 from .graphcore import (
     Graph,
     Potential,
-    VertexLabel,
     build_caterpillar,
     build_path,
     caterpillar_ground_state,

@@ -16,7 +16,7 @@ import scipy.integrate
 
 from .errors import DomainError, PreconditionError
 from .graphcore import Graph, Potential, is_single_peaked
-from .spectral import Hamiltonian, assemble, laplacian, solve_ground_and_gap
+from .spectral import DEFAULT_TOL, Hamiltonian, laplacian, solve_ground_and_gap
 
 BULK = "bulk"
 ENDGAME = "endgame"
@@ -33,7 +33,7 @@ def interpolated_hamiltonian(g: Graph, w: Potential, s: float) -> Hamiltonian:
         raise DomainError(f"potential has length {len(w)}, graph has {g.n} vertices")
     m = (1.0 - s) * laplacian(g)
     m[np.diag_indices(g.n)] += s * w.values
-    return Hamiltonian(matrix=m, graph=g, potential=w, s=s)
+    return Hamiltonian(matrix=m, graph=g)
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def endgame_onset(g: Graph) -> float:
     return 1.0 - 1.0 / (8.0 * g.max_degree)
 
 
-def gap_sweep(g: Graph, w: Potential, grid, tol: float = 1e-10) -> list[ScheduleSample]:
+def gap_sweep(g: Graph, w: Potential, grid, tol: float = DEFAULT_TOL) -> list[ScheduleSample]:
     """Exact gap and analytic floor at each grid point.
 
     At each s < 1 the solved ground state is tested for single-peakedness;
@@ -131,15 +131,12 @@ def endgame_bound(g: Graph, w: Potential) -> EndgameBound:
     Requires a unique minimizer of W; W is rescaled so the second-lowest
     value exceeds the lowest by exactly 1, and the factor is reported.
     """
-    vals = np.sort(w.values)
-    delta = float(vals[1] - vals[0])
-    if delta == 0.0:
-        raise PreconditionError("endgame bound requires a unique minimizer of W")
+    _, delta = rescale_to_unit_final_gap(w)
     d = g.max_degree
     if d < 1:
         raise PreconditionError("endgame bound requires a graph with edges")
     return EndgameBound(
-        s_star=1.0 - 1.0 / (8.0 * d),
+        s_star=endgame_onset(g),
         bound=0.5 - 1.0 / (8.0 * d),
         scale=delta,
     )

@@ -8,7 +8,6 @@ shifted below -d_G so that E < 0 and the walk is aperiodic.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 
@@ -16,14 +15,13 @@ import numpy as np
 
 from .errors import (
     ConsistencyError,
-    DimensionError,
     DomainError,
     PreconditionError,
     SizeGuardError,
     StructureError,
 )
-from .graphcore import Graph, Potential, connected_components, local_maxima
-from .spectral import Spectrum, assemble, solve_ground_and_gap
+from .graphcore import Graph, Potential, check_length, connected_components, local_maxima
+from .spectral import Spectrum, assemble
 
 # 2^(n-1) - 1 cuts; above this, use cut_profile on chosen cuts instead.
 CUT_ENUMERATION_LIMIT = 24
@@ -56,8 +54,14 @@ class WalkMatrix:
         return self.matrix.shape[0]
 
     def spectral_gap(self) -> float:
-        """1 minus the second-largest eigenvalue of P."""
-        vals = np.sort(np.linalg.eigvals(self.matrix).real)
+        """1 minus the second-largest eigenvalue of P.
+
+        P is reversible, so diag(sqrt(pi)) P diag(1/sqrt(pi)) is symmetric
+        with the same eigenvalues; it is symmetrized exactly before eigvalsh.
+        """
+        root = np.sqrt(self.stationary)
+        a = root[:, np.newaxis] * self.matrix / root[np.newaxis, :]
+        vals = np.linalg.eigvalsh((a + a.T) / 2.0)
         return float(1.0 - vals[-2])
 
 
@@ -102,17 +106,6 @@ class CutReport:
     mass_outside: float
     ratio: float
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "subset": list(self.subset),
-                "flow": self.flow,
-                "mass_inside": self.mass_inside,
-                "mass_outside": self.mass_outside,
-                "ratio": self.ratio,
-            }
-        )
-
 
 @dataclass(frozen=True)
 class ConductanceReport:
@@ -122,22 +115,11 @@ class ConductanceReport:
     minimizer: CutReport
     cuts_examined: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "phi": self.phi,
-                "subset": list(self.minimizer.subset),
-                "flow": self.minimizer.flow,
-                "cuts_examined": self.cuts_examined,
-            }
-        )
-
 
 def cut_profile(g: Graph, psi, subset) -> CutReport:
     """Flow, masses, and ratio for one cut; 2*ratio upper-bounds the gap."""
     psi = np.asarray(psi, dtype=float)
-    if len(psi) != g.n:
-        raise DimensionError(f"vector has length {len(psi)}, graph has {g.n} vertices")
+    check_length(g, len(psi), "vector")
     s = set(subset)
     if not s or len(s) == g.n:
         raise DomainError("cut subset must be nonempty and proper")
@@ -165,8 +147,7 @@ def conductance_exact(g: Graph, psi) -> ConductanceReport:
     """
     psi = np.asarray(psi, dtype=float)
     n = g.n
-    if len(psi) != n:
-        raise DimensionError(f"vector has length {len(psi)}, graph has {g.n} vertices")
+    check_length(g, len(psi), "vector")
     if n < 2:
         raise DomainError("conductance needs at least 2 vertices")
     if n > CUT_ENUMERATION_LIMIT:
@@ -205,43 +186,45 @@ class SandwichBounds:
     upper: float
     phi: float
     shifted_energy: float
-    spectrum: Spectrum
     conductance: ConductanceReport
 
 
-def gap_sandwich(g: Graph, w: Potential, tol: float = 1e-10) -> SandwichBounds:
+def gap_sandwich(g: Graph, w: Potential, spectrum: Spectrum) -> SandwichBounds:
     """Conductance sandwich -Phi^2/(2E) <= gap <= 2 Phi.
 
-    The potential is shifted below -d_G first; the lower bound uses the
-    actually-shifted ground energy, so the extra aperiodicity margin in the
-    shift only loosens (never invalidates) the bound.
+    `spectrum` is the solved spectrum of the unshifted assemble(g, w).  The
+    potential is shifted below -d_G, which leaves psi unchanged and moves
+    the ground energy to E - shift; the lower bound uses that shifted
+    energy, so the extra aperiodicity margin in the shift only loosens
+    (never invalidates) the bound.
     """
     if not g.is_connected():
         raise StructureError("conductance sandwich requires a connected graph")
-    w_shifted, _ = normalize_potential(g, w)
-    spectrum = solve_ground_and_gap(assemble(g, w_shifted), tol=tol)
+    check_length(g, len(spectrum.psi), "spectrum psi")
+    _, shift = normalize_potential(g, w)
+    energy = spectrum.energy - shift
     report = conductance_exact(g, spectrum.psi)
     phi = report.phi
     return SandwichBounds(
-        lower=-phi * phi / (2.0 * spectrum.energy),
+        lower=-phi * phi / (2.0 * energy),
         upper=2.0 * phi,
         phi=phi,
-        shifted_energy=spectrum.energy,
-        spectrum=spectrum,
+        shifted_energy=energy,
         conductance=report,
     )
 
 
 def single_peaked_gap_bound(
-    g: Graph, w: Potential, tol: float = 1e-10, plateau_tol: float = 0.0
+    g: Graph, w: Potential, spectrum: Spectrum, plateau_tol: float = 0.0
 ) -> float:
     """Lower bound 1 / (2 (|W| + d_G) |V|^2), valid when the ground state
-    is single-peaked; raises PreconditionError naming the disconnected
-    plateau components otherwise.
+    of assemble(g, w), given as its solved `spectrum`, is single-peaked;
+    raises PreconditionError naming the disconnected plateau components
+    otherwise.
     """
     if not g.is_connected():
         raise StructureError("single-peaked bound requires a connected graph")
-    spectrum = solve_ground_and_gap(assemble(g, w), tol=tol)
+    check_length(g, len(spectrum.psi), "spectrum psi")
     maxima = local_maxima(g, spectrum.psi, tol=plateau_tol)
     parts = connected_components(g, maxima)
     if len(parts) > 1:
@@ -311,19 +294,20 @@ def default_canonical_paths(g: Graph) -> CanonicalPathSet:
 
 
 def poincare_bound(
-    g: Graph, w: Potential, paths: CanonicalPathSet | None = None, tol: float = 1e-10
+    g: Graph, spectrum: Spectrum, paths: CanonicalPathSet | None = None
 ) -> float:
     """Poincare lower bound 1/kappa' on the gap of H_{G,W}.
 
-    kappa' is computed with the unit-normalized ground state; the ground
-    energy cancels from the final bound, so no shift is needed.
+    kappa' is computed with the unit-normalized ground state of the solved
+    `spectrum`; the ground energy cancels from the final bound, so no shift
+    is needed.
     """
     if not g.is_connected():
         raise StructureError("Poincare bound requires a connected graph")
+    check_length(g, len(spectrum.psi), "spectrum psi")
     if paths is None:
         paths = default_canonical_paths(g)
     paths.validate(g)
-    spectrum = solve_ground_and_gap(assemble(g, w), tol=tol)
     psi = spectrum.psi
     load: dict[tuple[int, int], float] = {e: 0.0 for e in g.edges}
     for (x, y), path in paths.paths.items():

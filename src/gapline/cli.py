@@ -16,7 +16,7 @@ import tempfile
 import numpy as np
 
 from . import adiabatic, bounds, graphcore, spectral, verify
-from .errors import ParseError, PreconditionError, SolverError, StructureError
+from .errors import ParseError, PreconditionError, SizeGuardError, SolverError, StructureError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -24,14 +24,12 @@ EXIT_PRECONDITION = 3
 EXIT_SOLVER = 4
 EXIT_BOUND = 5
 
-DEFAULT_TOL = 1e-10
-
 
 def _tolerance(cli_value: float | None) -> float:
     if cli_value is not None:
         return cli_value
     env = os.environ.get("GAPLINE_TOL")
-    return float(env) if env else DEFAULT_TOL
+    return float(env) if env else spectral.DEFAULT_TOL
 
 
 def _fmt(x: float) -> str:
@@ -118,18 +116,23 @@ def cmd_bounds(args) -> int:
     spec = spectral.solve_ground_and_gap(spectral.assemble(g, w), tol=tol)
     out["gap"] = spec.gap
     if args.conductance or run_all:
-        sandwich = bounds.gap_sandwich(g, w, tol=tol)
-        out["conductance"] = {
-            "phi": sandwich.phi,
-            "lower": sandwich.lower,
-            "upper": sandwich.upper,
-            "subset": list(sandwich.conductance.minimizer.subset),
-        }
+        try:
+            sandwich = bounds.gap_sandwich(g, w, spec)
+            out["conductance"] = {
+                "phi": sandwich.phi,
+                "lower": sandwich.lower,
+                "upper": sandwich.upper,
+                "subset": list(sandwich.conductance.minimizer.subset),
+            }
+        except SizeGuardError as exc:
+            if args.conductance:
+                raise
+            out["conductance"] = {"error": str(exc)}
     if args.poincare or run_all:
-        out["poincare"] = {"lower": bounds.poincare_bound(g, w, tol=tol)}
+        out["poincare"] = {"lower": bounds.poincare_bound(g, spec)}
     if args.single_peaked or run_all:
         try:
-            out["single_peaked"] = {"lower": bounds.single_peaked_gap_bound(g, w, tol=tol)}
+            out["single_peaked"] = {"lower": bounds.single_peaked_gap_bound(g, w, spec)}
         except PreconditionError as exc:
             if args.single_peaked:
                 raise
@@ -223,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the cross-validation suite")
-    p.add_argument("--all", action="store_true", help="run every check (default)")
     p.add_argument("--lmax", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)

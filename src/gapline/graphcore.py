@@ -157,21 +157,8 @@ class Potential:
         return Potential(self.values + c)
 
 
-@dataclass(frozen=True)
-class VertexLabel:
-    """Structured label for caterpillar vertices (spine B, legs C)."""
-
-    kind: str   # "B" or "C"
-    side: str   # "left", "right", "center"
-    index: int  # position along the spine, 0..l
-
-    _SIDE_CODE = {"left": "L", "right": "R", "center": ""}
-
-    def text(self, leg_slot: str = "") -> str:
-        return f"{self.kind}{self.index}{self._SIDE_CODE[self.side]}{leg_slot}"
-
-
-def _check_sizes(g: Graph, length: int, what: str) -> None:
+def check_length(g: Graph, length: int, what: str) -> None:
+    """Raise DimensionError naming `what` unless `length` equals g.n."""
     if length != g.n:
         raise DimensionError(f"{what} has length {length}, graph has {g.n} vertices")
 
@@ -288,7 +275,7 @@ def caterpillar_ground_state(l: int) -> np.ndarray:
 
 def find_local_minima(g: Graph, w: Potential) -> set[int]:
     """Vertices whose potential is <= that of every neighbor."""
-    _check_sizes(g, len(w), "potential")
+    check_length(g, len(w), "potential")
     vals = w.values
     return {
         x for x in range(g.n) if all(vals[x] <= vals[y] for y in g.neighbors(x))
@@ -301,7 +288,7 @@ def is_single_basin(g: Graph, w: Potential) -> bool:
     Connectivity can only change at the distinct values of W, so those are
     the only thresholds tested.
     """
-    _check_sizes(g, len(w), "potential")
+    check_length(g, len(w), "potential")
     if not g.is_connected():
         raise StructureError("single-basin test requires a connected graph")
     vals = w.values
@@ -315,7 +302,7 @@ def is_single_basin(g: Graph, w: Potential) -> bool:
 def local_maxima(g: Graph, psi, tol: float = 0.0) -> set[int]:
     """Non-strict local maxima of psi; `tol` widens plateaus for solver noise."""
     psi = np.asarray(psi, dtype=float)
-    _check_sizes(g, len(psi), "vector")
+    check_length(g, len(psi), "vector")
     return {
         x for x in range(g.n) if all(psi[x] >= psi[y] - tol for y in g.neighbors(x))
     }
@@ -324,7 +311,7 @@ def local_maxima(g: Graph, psi, tol: float = 0.0) -> set[int]:
 def is_single_peaked(g: Graph, psi, tol: float = 0.0) -> bool:
     """True iff the set of local maxima of psi induces a connected subgraph."""
     psi = np.asarray(psi, dtype=float)
-    _check_sizes(g, len(psi), "vector")
+    check_length(g, len(psi), "vector")
     if np.any(psi <= 0):
         raise DomainError("single-peaked test requires strictly positive amplitudes")
     return is_connected_subset(g, local_maxima(g, psi, tol=tol))
@@ -389,7 +376,7 @@ def write_graph(g: Graph, w: Potential | None = None, labels: dict[str, int] | N
     """
     if w is None:
         w = Potential(np.zeros(g.n))
-    _check_sizes(g, len(w), "potential")
+    check_length(g, len(w), "potential")
     doc: dict = {
         "n": g.n,
         "edges": [[x, y] for x, y in g.edges],

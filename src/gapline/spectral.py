@@ -7,14 +7,13 @@ ground states on connected graphs are sign-fixed positive.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, DomainError, SolverError
-from .graphcore import Graph, Potential, caterpillar_layout
+from .graphcore import Graph, Potential, caterpillar_layout, check_length
 
 DEFAULT_TOL = 1e-10
 
@@ -28,8 +27,6 @@ class Hamiltonian:
 
     matrix: np.ndarray
     graph: Graph | None = None
-    potential: Potential | None = None
-    s: float | None = None
 
     @property
     def n(self) -> int:
@@ -48,33 +45,23 @@ class Spectrum:
     degenerate: bool = False   # gap below tol, reported as-is
     positive: bool = True      # Perron positivity guaranteed (graph connected)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "E": self.energy,
-                "gap": self.gap,
-                "psi": list(self.psi),
-                "residual": self.residual,
-            }
-        )
-
 
 def laplacian(g: Graph) -> np.ndarray:
+    """Combinatorial Laplacian L_G: degrees on the diagonal, -1 on edges."""
     m = np.zeros((g.n, g.n))
-    for x, y in g.edges:
+    if g.edges:
+        x, y = np.array(g.edges).T
         m[x, y] = m[y, x] = -1.0
-        m[x, x] += 1.0
-        m[y, y] += 1.0
+    m[np.diag_indices(g.n)] = g.degrees
     return m
 
 
 def assemble(g: Graph, w: Potential) -> Hamiltonian:
     """Hamiltonian for graph g and potential w."""
-    if len(w) != g.n:
-        raise DimensionError(f"potential has length {len(w)}, graph has {g.n} vertices")
+    check_length(g, len(w), "potential")
     m = laplacian(g)
     m[np.diag_indices(g.n)] += w.values
-    return Hamiltonian(matrix=m, graph=g, potential=w)
+    return Hamiltonian(matrix=m, graph=g)
 
 
 def solve_ground_and_gap(h: Hamiltonian, tol: float = DEFAULT_TOL) -> Spectrum:
@@ -164,12 +151,8 @@ def two_lobe_trial_state(l: int, psi) -> np.ndarray:
 def discrete_curvature(g: Graph, psi) -> np.ndarray:
     """Delta^2 psi(x) = -d_x psi(x) + sum of psi over neighbors (= -L psi)."""
     psi = np.asarray(psi, dtype=float)
-    if len(psi) != g.n:
-        raise DimensionError(f"vector has length {len(psi)}, graph has {g.n} vertices")
-    out = np.empty(g.n)
-    for x in range(g.n):
-        out[x] = -g.degree(x) * psi[x] + sum(psi[y] for y in g.neighbors(x))
-    return out
+    check_length(g, len(psi), "vector")
+    return -(laplacian(g) @ psi)
 
 
 def negative_curvature_set(g: Graph, psi, tol: float = CURVATURE_TOL) -> set[int]:

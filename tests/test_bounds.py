@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gapline import bounds, graphcore, spectral
 from gapline.errors import (
+    DimensionError,
     DomainError,
     PreconditionError,
     SizeGuardError,
@@ -178,19 +179,20 @@ class TestConductanceExact:
 class TestGapSandwich:
     def test_path2_flat(self):
         g = graphcore.build_path(2)
-        sw = bounds.gap_sandwich(g, flat(2))
+        spec = solve(g, flat(2))
+        sw = bounds.gap_sandwich(g, flat(2), spec)
         # shift is W_max + d_G + 1 = 2, so E_shifted = -2
         assert sw.shifted_energy == pytest.approx(-2.0)
         assert sw.phi == pytest.approx(1.0)
         assert sw.lower == pytest.approx(0.25)
         assert sw.upper == pytest.approx(2.0)
-        assert sw.spectrum.gap == pytest.approx(2.0)
+        assert spec.gap == pytest.approx(2.0)
 
     def test_shift_invariance(self):
         g = graphcore.build_path(4)
         w = graphcore.Potential([0.3, -0.2, 0.1, 0.4])
-        a = bounds.gap_sandwich(g, w)
-        b = bounds.gap_sandwich(g, w.shifted(2.5))
+        a = bounds.gap_sandwich(g, w, solve(g, w))
+        b = bounds.gap_sandwich(g, w.shifted(2.5), solve(g, w.shifted(2.5)))
         assert a.lower == pytest.approx(b.lower, abs=1e-10)
         assert a.upper == pytest.approx(b.upper, abs=1e-10)
 
@@ -201,8 +203,9 @@ class TestGapSandwich:
         n = int(rng.integers(3, 13))
         g = random_connected_graph(rng, n)
         w = random_potential(rng, n)
-        sw = bounds.gap_sandwich(g, w)
-        assert sw.lower - 1e-8 <= sw.spectrum.gap <= sw.upper + 1e-8
+        spec = solve(g, w)
+        sw = bounds.gap_sandwich(g, w, spec)
+        assert sw.lower - 1e-8 <= spec.gap <= sw.upper + 1e-8
 
     def test_walk_level_sandwich(self):
         # conductance of P sandwiches the walk gap
@@ -220,13 +223,14 @@ class TestGapSandwich:
     def test_disconnected_rejected(self):
         g = graphcore.Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(StructureError):
-            bounds.gap_sandwich(g, flat(4))
+            bounds.gap_sandwich(g, flat(4), solve(g, flat(4)))
 
 
 class TestSinglePeakedGapBound:
     def test_path3_flat(self):
         g = graphcore.build_path(3)
-        assert bounds.single_peaked_gap_bound(g, flat(3)) == pytest.approx(1 / 36)
+        bound = bounds.single_peaked_gap_bound(g, flat(3), solve(g, flat(3)))
+        assert bound == pytest.approx(1 / 36)
 
     def test_bound_below_gap_when_applicable(self):
         rng = np.random.default_rng(41)
@@ -235,11 +239,12 @@ class TestSinglePeakedGapBound:
             n = int(rng.integers(3, 11))
             g = random_connected_graph(rng, n)
             w = random_potential(rng, n)
+            spec = solve(g, w)
             try:
-                bound = bounds.single_peaked_gap_bound(g, w)
+                bound = bounds.single_peaked_gap_bound(g, w, spec)
             except PreconditionError:
                 continue
-            assert solve(g, w).gap >= bound - 1e-12
+            assert spec.gap >= bound - 1e-12
             checked += 1
 
     def test_path_specialization_formula(self):
@@ -247,13 +252,13 @@ class TestSinglePeakedGapBound:
         l = 12
         g = graphcore.build_path(l)
         w = random_single_basin_path_potential(rng, l)
-        bound = bounds.single_peaked_gap_bound(g, w)
+        bound = bounds.single_peaked_gap_bound(g, w, solve(g, w))
         assert bound == pytest.approx(1 / (2 * (w.spread + 2) * l**2))
 
     def test_caterpillar_two_lobes_rejected(self):
         g, w, _ = graphcore.build_caterpillar(4)
         with pytest.raises(PreconditionError, match="components"):
-            bounds.single_peaked_gap_bound(g, w)
+            bounds.single_peaked_gap_bound(g, w, solve(g, w))
 
 
 class TestCanonicalPaths:
@@ -285,22 +290,24 @@ class TestCanonicalPaths:
 class TestPoincareBound:
     def test_flat_two_vertex(self):
         g = graphcore.build_path(2)
-        assert bounds.poincare_bound(g, flat(2)) == pytest.approx(1.0)
+        assert bounds.poincare_bound(g, solve(g, flat(2))) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("l", [3, 8, 20])
     def test_lower_bounds_gap(self, l):
         rng = np.random.default_rng(l)
         g = graphcore.build_path(l)
         w = random_single_basin_path_potential(rng, l)
-        bound = bounds.poincare_bound(g, w)
-        assert solve(g, w).gap >= bound - 1e-10
+        spec = solve(g, w)
+        bound = bounds.poincare_bound(g, spec)
+        assert spec.gap >= bound - 1e-10
         assert bound >= 1 / (l * (l - 1)) - 1e-12
 
     def test_flat_path_ratio_approaches_pi_squared(self):
         l = 200
         g = graphcore.build_path(l)
-        gamma = solve(g, flat(l)).gap
-        bound = bounds.poincare_bound(g, flat(l))
+        spec = solve(g, flat(l))
+        gamma = spec.gap
+        bound = bounds.poincare_bound(g, spec)
         assert gamma / bound <= math.pi**2 * 1.05
         # and l(l-1) itself is within the pi^2 window
         assert gamma * l * (l - 1) <= math.pi**2 * 1.05
@@ -311,7 +318,20 @@ class TestPoincareBound:
             n = int(rng.integers(3, 10))
             g = random_connected_graph(rng, n)
             w = random_potential(rng, n)
-            assert solve(g, w).gap >= bounds.poincare_bound(g, w) - 1e-10
+            spec = solve(g, w)
+            assert spec.gap >= bounds.poincare_bound(g, spec) - 1e-10
+
+
+class TestSpectrumInput:
+    def test_spectrum_of_another_graph_rejected(self):
+        g = graphcore.build_path(4)
+        spec = solve(graphcore.build_path(5), flat(5))
+        with pytest.raises(DimensionError):
+            bounds.gap_sandwich(g, flat(4), spec)
+        with pytest.raises(DimensionError):
+            bounds.single_peaked_gap_bound(g, flat(4), spec)
+        with pytest.raises(DimensionError):
+            bounds.poincare_bound(g, spec)
 
 
 class TestPathKappa:

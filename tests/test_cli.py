@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +97,42 @@ class TestBounds:
         assert doc["cut"]["subset"] == [0]
         assert doc["gap"] <= doc["cut"]["upper"] + 1e-10
 
+    def test_one_eigensolve_for_all_bounds(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "p.json"
+        run(capsys, "gen", "path", "--l", "5", "-o", str(out))
+        original = spectral.solve_ground_and_gap
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # Patch every module that holds a reference, not only `spectral`.
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, "solve_ground_and_gap", None)
+            if name.startswith("gapline") and bound is original:
+                monkeypatch.setattr(module, "solve_ground_and_gap", counting)
+        code, _, _ = run(capsys, "bounds", str(out))
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_size_guard_reported_per_section(self, tmp_path, capsys):
+        out = tmp_path / "cat5.json"
+        run(capsys, "gen", "caterpillar", "--l", "5", "-o", str(out))
+        code, payload, _ = run(capsys, "bounds", str(out))
+        assert code == 0
+        doc = json.loads(payload)
+        assert "n <= 24" in doc["conductance"]["error"]
+        assert 0 < doc["poincare"]["lower"] <= doc["gap"] + 1e-10
+        assert "error" in doc["single_peaked"]
+
+    def test_explicit_conductance_size_guard_fails(self, tmp_path, capsys):
+        out = tmp_path / "cat5.json"
+        run(capsys, "gen", "caterpillar", "--l", "5", "-o", str(out))
+        code, _, err = run(capsys, "bounds", str(out), "--conductance")
+        assert code == 2
+        assert "n <= 24" in err
+
     def test_single_peaked_precondition_failure(self, tmp_path, capsys):
         out = tmp_path / "cat.json"
         run(capsys, "gen", "caterpillar", "--l", "3", "-o", str(out))
@@ -130,7 +167,7 @@ class TestSweep:
 
 class TestVerify:
     def test_small_suite_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--all", "--lmax", "4", "--seed", "0")
+        code, out, _ = run(capsys, "verify", "--lmax", "4", "--seed", "0")
         assert code == 0
         assert "checks passed" in out
         assert "FAIL" not in out

@@ -96,6 +96,17 @@ class TestSolveGroundAndGap:
             assert abs(vals[0]) < 1e-12
             assert vals[1] > 1e-12  # connected: eigenvalue 0 simple
 
+    def test_laplacian_matches_edge_loop(self):
+        rng = np.random.default_rng(19)
+        for n in (1, 2, 7, 12):
+            g = random_connected_graph(rng, n)
+            expected = np.zeros((n, n))
+            for x, y in g.edges:
+                expected[x, y] = expected[y, x] = -1.0
+                expected[x, x] += 1.0
+                expected[y, y] += 1.0
+            assert np.array_equal(spectral.laplacian(g), expected)
+
     def test_laplacian_norm_at_most_twice_max_degree(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -186,6 +197,17 @@ class TestNegativeCurvatureSet:
         curv = spectral.discrete_curvature(g, [1.0, 2.0, 1.0])
         assert curv == pytest.approx([1.0, -2.0, 1.0])
         assert spectral.negative_curvature_set(g, [1.0, 2.0, 1.0]) == {1}
+
+    def test_curvature_matches_neighbour_sum(self):
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            n = int(rng.integers(2, 12))
+            g = random_connected_graph(rng, n)
+            psi = rng.uniform(-1.0, 1.0, size=n)
+            expected = [
+                -g.degree(x) * psi[x] + sum(psi[y] for y in g.neighbors(x)) for x in range(n)
+            ]
+            assert spectral.discrete_curvature(g, psi) == pytest.approx(expected, abs=1e-14)
 
     def test_curvature_sign_matches_potential_minus_energy(self):
         rng = np.random.default_rng(23)
