@@ -12,17 +12,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
+from .bounds import PLATEAU_TOL
 from .errors import DomainError, PreconditionError
 from .graphcore import Graph, Potential, is_single_peaked
 from .spectral import DEFAULT_TOL, Hamiltonian, laplacian, solve_ground_and_gap
 
 BULK = "bulk"
 ENDGAME = "endgame"
-
-# Plateau tolerance for the per-sample single-peaked check on solver output.
-PLATEAU_TOL = 1e-12
 
 
 def interpolated_hamiltonian(g: Graph, w: Potential, s: float) -> Hamiltonian:
@@ -164,7 +161,11 @@ def _beta() -> float:
     """Normalization making the bump integrate to 1 over [0,1]."""
     global _BETA
     if _BETA is None:
-        total, _ = scipy.integrate.quad(_bump, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12)
+        # Deferred: importing scipy.integrate costs about 0.3 s, and only the
+        # switching schedule needs it.
+        from scipy.integrate import quad
+
+        total, _ = quad(_bump, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12)
         _BETA = 1.0 / total
     return _BETA
 
@@ -187,7 +188,9 @@ def switching_schedule(x: float) -> float:
         # Evaluate through the bump's symmetry so the saturated right tail
         # stays exactly monotone instead of wobbling at machine precision.
         return 1.0 - switching_schedule(1.0 - x)
-    val, _ = scipy.integrate.quad(
+    from scipy.integrate import quad
+
+    val, _ = quad(
         switching_derivative, 0.0, x, epsabs=1e-13, epsrel=1e-12
     )
     return val

@@ -8,7 +8,7 @@ shifted below -d_G so that E < 0 and the walk is aperiodic.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +27,12 @@ from .spectral import Spectrum, assemble
 CUT_ENUMERATION_LIMIT = 24
 
 ROW_SUM_TOL = 1e-9
+
+# Plateau tolerance for single-peaked tests on solver output: eigensolver
+# noise of about 1e-16 must not split a flat maximum into components.
+PLATEAU_TOL = 1e-12
+
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def normalize_potential(g: Graph, w: Potential) -> tuple[Potential, float]:
@@ -215,7 +221,7 @@ def gap_sandwich(g: Graph, w: Potential, spectrum: Spectrum) -> SandwichBounds:
 
 
 def single_peaked_gap_bound(
-    g: Graph, w: Potential, spectrum: Spectrum, plateau_tol: float = 0.0
+    g: Graph, w: Potential, spectrum: Spectrum, plateau_tol: float = PLATEAU_TOL
 ) -> float:
     """Lower bound 1 / (2 (|W| + d_G) |V|^2), valid when the ground state
     of assemble(g, w), given as its solved `spectrum`, is single-peaked;
@@ -257,40 +263,115 @@ class CanonicalPathSet:
                 used.add(e)
 
 
+def _bfs_predecessors(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Hop distances dist[x, v] and BFS-tree predecessors pred[x, v], all sources.
+
+    pred[x, v] is the lowest-index neighbour u of v with
+    dist(x, u) = dist(x, v) - 1, and pred[x, x] = x.  The graph must be
+    connected.
+    """
+    # Deferred: only canonical paths pay for importing scipy.sparse.
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import shortest_path
+
+    n = g.n
+    x, y = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    adjacency = coo_array((np.ones(len(x)), (x, y)), shape=(n, n)).tocsr()
+    dist = shortest_path(adjacency, directed=False, unweighted=True).astype(np.intp)
+    pred = np.empty((n, n), dtype=np.intp)
+    for v in range(n):
+        nbrs = np.array(g.neighbors(v), dtype=np.intp)
+        if len(nbrs):
+            # argmax picks the first hit; neighbours are in ascending order.
+            pred[:, v] = nbrs[np.argmax(dist[:, nbrs] == dist[:, v, np.newaxis] - 1, axis=1)]
+    pred[np.diag_indices(n)] = np.arange(n)
+    return dist, pred
+
+
 def default_canonical_paths(g: Graph) -> CanonicalPathSet:
     """Breadth-first shortest paths, lowest-index predecessor tie-break.
 
-    On path graphs this reproduces the unique valid choice.
+    The path for (x, y) with x < y follows the BFS tree of x; (y, x) is its
+    reverse.  On path graphs this reproduces the unique valid choice.
     """
     if not g.is_connected():
         raise StructureError("canonical paths require a connected graph")
+    pred = _bfs_predecessors(g)[1].tolist()
     paths: dict[tuple[int, int], tuple[int, ...]] = {}
-    for src in range(g.n):
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            for u in g.neighbors(v):
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        pred = {}
-        for v in range(g.n):
-            if v != src:
-                pred[v] = min(u for u in g.neighbors(v) if dist[u] == dist[v] - 1)
-        for dst in range(g.n):
-            if dst == src:
-                continue
-            chain = [dst]
-            while chain[-1] != src:
-                chain.append(pred[chain[-1]])
-            paths[(src, dst)] = tuple(reversed(chain))
-    # Reverse pairs share the same vertex sequence reversed by construction
-    # only if predecessors agree both ways; enforce the convention directly.
     for x in range(g.n):
-        for y in range(x + 1, g.n):
-            paths[(y, x)] = tuple(reversed(paths[(x, y)]))
+        for y in range(g.n):
+            if y < x:
+                paths[(x, y)] = tuple(reversed(paths[(y, x)]))
+            elif y > x:
+                chain = [y]
+                while chain[-1] != x:
+                    chain.append(pred[x][chain[-1]])
+                paths[(x, y)] = tuple(reversed(chain))
     return CanonicalPathSet(paths=paths)
+
+
+def _require_finite_kappa(psi: np.ndarray) -> None:
+    """Refuse amplitudes for which kappa' is not a finite positive float64.
+
+    Every partial sum of kappa' is at most 2 n (sum psi^2)^2 / min(psi)^2,
+    so checking that bound in logarithms, before any division, keeps every
+    step finite and free of overflow.
+    """
+    smallest = float(np.min(psi))
+    if not smallest > 0.0 or (
+        math.log(2.0 * len(psi)) + 2.0 * math.log(float(psi @ psi)) - 2.0 * math.log(smallest)
+        >= _LOG_FLOAT_MAX
+    ):
+        raise PreconditionError(
+            f"kappa' needs every ground-state amplitude positive and large enough "
+            f"to stay finite in float64; the smallest ground-state amplitude is "
+            f"{smallest:.3e}"
+        )
+
+
+def _tree_kappa(g: Graph, psi: np.ndarray) -> float:
+    """kappa' for default_canonical_paths, from one BFS tree per source.
+
+    For each source x, length[x, v] is the inverse-flow length of the tree
+    path from x to v, and below[x, v] sums psi_y^2 length[x, y] over the
+    y > x in the subtree of v.  The edge (pred[x, v], v) then carries
+    2 psi_x^2 below[x, v]; the factor 2 counts the reversed pairs.  All
+    sources are swept together, one hop level at a time: O(n (n + m)) work
+    and O(n^2) memory.
+    """
+    n = g.n
+    dist, pred = _bfs_predecessors(g)
+    # Entries (x, v) sorted by hop level, so that each level is one slice and
+    # the n diagonal entries (level 0) come first.  length and below are
+    # indexed by this sorted position.
+    order = np.argsort(dist, axis=None, kind="stable")
+    level_end = np.cumsum(np.bincount(dist.ravel()))
+    levels = [slice(a, b) for a, b in zip(np.r_[0, level_end[:-1]], level_end)]
+    rows, cols = np.divmod(order, n)
+    parents = pred.ravel()[order]
+    position = np.empty(n * n, dtype=np.intp)
+    position[order] = np.arange(n * n)
+    up = position[rows * n + parents]    # sorted position of each tree parent
+    step = 1.0 / (psi[cols] * psi[parents])
+    length = np.zeros(n * n)
+    for lv in levels[1:]:
+        length[lv] = length[up[lv]] + step[lv]
+    p2 = psi**2
+    below = np.where(cols > rows, p2[cols] * length, 0.0)
+    for parent_lv, lv in zip(levels[-2::-1], levels[:0:-1]):
+        below[parent_lv] += np.bincount(
+            up[lv] - parent_lv.start, weights=below[lv], minlength=parent_lv.stop - parent_lv.start
+        )
+    edge_id = np.zeros((n, n), dtype=np.intp)
+    x, y = np.array(g.edges).T
+    edge_id[x, y] = edge_id[y, x] = np.arange(len(g.edges))
+    off = slice(n, None)
+    load = np.bincount(
+        edge_id[parents[off], cols[off]],
+        weights=2.0 * p2[rows[off]] * below[off],
+        minlength=len(g.edges),
+    )
+    return float(load.max())
 
 
 def poincare_bound(
@@ -300,15 +381,19 @@ def poincare_bound(
 
     kappa' is computed with the unit-normalized ground state of the solved
     `spectrum`; the ground energy cancels from the final bound, so no shift
-    is needed.
+    is needed.  Without `paths`, kappa' for default_canonical_paths comes
+    from the BFS trees directly and no path set is built.  Raises
+    PreconditionError when the ground state has an entry <= 0 or so small
+    that kappa' is not finite in float64.
     """
     if not g.is_connected():
         raise StructureError("Poincare bound requires a connected graph")
     check_length(g, len(spectrum.psi), "spectrum psi")
-    if paths is None:
-        paths = default_canonical_paths(g)
-    paths.validate(g)
     psi = spectrum.psi
+    _require_finite_kappa(psi)
+    if paths is None:
+        return 1.0 / _tree_kappa(g, psi)
+    paths.validate(g)
     load: dict[tuple[int, int], float] = {e: 0.0 for e in g.edges}
     for (x, y), path in paths.paths.items():
         weight = psi[x] ** 2 * psi[y] ** 2
@@ -326,6 +411,8 @@ def path_kappa(psi) -> float:
 
     For each edge j, sums R(s,f) = psi(s)^2 psi(f)^2 * (inverse-flow length
     of the segment) over pairs s <= j < f, doubled for the reverse paths.
+    Raises PreconditionError when an entry is so small that kappa' is not
+    finite in float64.
     """
     psi = np.asarray(psi, dtype=float)
     if np.any(psi <= 0):
@@ -333,6 +420,7 @@ def path_kappa(psi) -> float:
     l = len(psi)
     if l < 2:
         raise DomainError("path kappa needs at least 2 vertices")
+    _require_finite_kappa(psi)
     p2 = psi**2
     # t[k] = sum over edges (v, v+1) with v < k of 1/(psi(v) psi(v+1))
     t = np.concatenate(([0.0], np.cumsum(1.0 / (psi[:-1] * psi[1:]))))

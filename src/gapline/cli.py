@@ -108,6 +108,18 @@ def cmd_gap(args) -> int:
     return EXIT_OK
 
 
+def _section(explicit: bool, refusal: type[Exception], compute) -> dict:
+    """One `bounds` section.  A bound that refuses fails the command when it
+    was selected explicitly; otherwise it is reported as {"error": ...} and
+    the other sections are still computed."""
+    try:
+        return compute()
+    except refusal as exc:
+        if explicit:
+            raise
+        return {"error": str(exc)}
+
+
 def cmd_bounds(args) -> int:
     g, w, _ = _load(args.file)
     tol = _tolerance(args.tol)
@@ -115,28 +127,28 @@ def cmd_bounds(args) -> int:
     out: dict = {}
     spec = spectral.solve_ground_and_gap(spectral.assemble(g, w), tol=tol)
     out["gap"] = spec.gap
+
+    def conductance():
+        sandwich = bounds.gap_sandwich(g, w, spec)
+        return {
+            "phi": sandwich.phi,
+            "lower": sandwich.lower,
+            "upper": sandwich.upper,
+            "subset": list(sandwich.conductance.minimizer.subset),
+        }
+
     if args.conductance or run_all:
-        try:
-            sandwich = bounds.gap_sandwich(g, w, spec)
-            out["conductance"] = {
-                "phi": sandwich.phi,
-                "lower": sandwich.lower,
-                "upper": sandwich.upper,
-                "subset": list(sandwich.conductance.minimizer.subset),
-            }
-        except SizeGuardError as exc:
-            if args.conductance:
-                raise
-            out["conductance"] = {"error": str(exc)}
+        out["conductance"] = _section(args.conductance, SizeGuardError, conductance)
     if args.poincare or run_all:
-        out["poincare"] = {"lower": bounds.poincare_bound(g, spec)}
+        out["poincare"] = _section(
+            args.poincare, PreconditionError, lambda: {"lower": bounds.poincare_bound(g, spec)}
+        )
     if args.single_peaked or run_all:
-        try:
-            out["single_peaked"] = {"lower": bounds.single_peaked_gap_bound(g, w, spec)}
-        except PreconditionError as exc:
-            if args.single_peaked:
-                raise
-            out["single_peaked"] = {"error": str(exc)}
+        out["single_peaked"] = _section(
+            args.single_peaked,
+            PreconditionError,
+            lambda: {"lower": bounds.single_peaked_gap_bound(g, w, spec)},
+        )
     if args.cut:
         subset = [int(v) for v in args.cut.split(",")]
         report = bounds.cut_profile(g, spec.psi, subset)

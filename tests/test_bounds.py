@@ -322,6 +322,58 @@ class TestPoincareBound:
             assert spec.gap >= bounds.poincare_bound(g, spec) - 1e-10
 
 
+def relabelled(rng, g, w):
+    """Isomorphic copy of (g, w) under a random vertex permutation."""
+    perm = rng.permutation(g.n)
+    values = np.empty(g.n)
+    values[perm] = w.values
+    edges = [(perm[x], perm[y]) for x, y in g.edges]
+    return graphcore.Graph(g.n, edges), graphcore.Potential(values)
+
+
+class TestTreePoincare:
+    """poincare_bound without paths walks BFS trees; it must equal the
+    generic load over default_canonical_paths."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(2, 30), st.integers(0, 10_000))
+    def test_matches_path_set_on_random_graphs(self, n, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n)
+        spec = solve(g, random_potential(rng, n))
+        tree = bounds.poincare_bound(g, spec)
+        generic = bounds.poincare_bound(g, spec, bounds.default_canonical_paths(g))
+        assert tree == pytest.approx(generic, rel=1e-12)
+
+    @settings(deadline=None, max_examples=15)
+    @given(st.integers(2, 8), st.integers(0, 10_000))
+    def test_matches_path_set_on_relabelled_caterpillars(self, l, seed):
+        g, w = relabelled(np.random.default_rng(seed), *graphcore.build_caterpillar(l)[:2])
+        spec = solve(g, w)
+        tree = bounds.poincare_bound(g, spec)
+        generic = bounds.poincare_bound(g, spec, bounds.default_canonical_paths(g))
+        assert tree == pytest.approx(generic, rel=1e-12)
+
+    def test_underflowing_ground_state_refused(self):
+        # W = [0, 1e3, ..., 1e3]: psi falls to about 1e-177 along the chain.
+        g = graphcore.build_path(60)
+        spec = solve(g, graphcore.Potential(np.r_[0.0, np.full(59, 1e3)]))
+        with pytest.raises(PreconditionError, match="smallest ground-state amplitude"):
+            bounds.poincare_bound(g, spec)
+        with pytest.raises(PreconditionError, match="smallest ground-state amplitude"):
+            bounds.poincare_bound(g, spec, bounds.default_canonical_paths(g))
+        with pytest.raises(PreconditionError, match="smallest ground-state amplitude"):
+            bounds.path_kappa(spec.psi)
+
+    def test_zero_amplitude_refused(self):
+        g = graphcore.build_path(3)
+        spec = spectral.Spectrum(
+            energy=0.0, gap=1.0, psi=np.array([0.6, 0.8, 0.0]), residual=0.0, tol=1e-10
+        )
+        with pytest.raises(PreconditionError, match="0.000e"):
+            bounds.poincare_bound(g, spec)
+
+
 class TestSpectrumInput:
     def test_spectrum_of_another_graph_rejected(self):
         g = graphcore.build_path(4)

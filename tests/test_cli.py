@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from gapline import cli, graphcore, spectral
+from gapline import bounds, cli, graphcore, spectral
 
 
 def run(capsys, *argv):
@@ -139,6 +139,52 @@ class TestBounds:
         code, _, err = run(capsys, "bounds", str(out), "--single-peaked")
         assert code == 3
         assert "single-peaked" in err
+
+    def test_poincare_builds_no_path_set(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "cat3.json"
+        run(capsys, "gen", "caterpillar", "--l", "3", "-o", str(out))
+        original = bounds.default_canonical_paths
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, "default_canonical_paths", None)
+            if name.startswith("gapline") and bound is original:
+                monkeypatch.setattr(module, "default_canonical_paths", counting)
+        code, payload, _ = run(capsys, "bounds", str(out), "--poincare")
+        assert code == 0
+        assert 0 < json.loads(payload)["poincare"]["lower"]
+        assert calls == []
+
+    def test_underflowing_ground_state_refused(self, tmp_path, capsys):
+        # psi falls to about 1e-177 along the chain; kappa' overflows float64.
+        l = 60
+        edges = [[i, i + 1] for i in range(l - 1)]
+        doc = {"n": l, "edges": edges, "potential": [0.0] + [1e3] * (l - 1)}
+        path = tmp_path / "step.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "bounds", str(path), "--poincare")
+        assert code == 3
+        assert "smallest ground-state amplitude" in err
+        code, payload, _ = run(capsys, "bounds", str(path))
+        assert code == 0
+        doc = json.loads(payload, parse_constant=lambda c: pytest.fail(f"{c} in output"))
+        assert "smallest ground-state amplitude" in doc["poincare"]["error"]
+
+    def test_flat_chain_single_peaked(self, tmp_path, capsys):
+        # Solver noise on the constant ground state must not split its plateau.
+        l = 140
+        doc = {"n": l, "edges": [[i, i + 1] for i in range(l - 1)], "potential": [0.0] * l}
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(doc))
+        code, payload, _ = run(capsys, "bounds", str(path), "--single-peaked")
+        assert code == 0
+        doc = json.loads(payload)
+        assert doc["single_peaked"]["lower"] == pytest.approx(1 / (2 * 2 * l**2))
+        assert doc["single_peaked"]["lower"] <= doc["gap"]
 
 
 class TestSweep:
