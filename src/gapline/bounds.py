@@ -148,8 +148,19 @@ def conductance_exact(g: Graph, psi) -> ConductanceReport:
     """Exhaustive-minimum conductance Phi_H over all proper cuts.
 
     Enumerates each {S, complement} pair once (vertex n-1 pinned to the
-    complement).  Ties broken by smallest subset bitmask; the minimizer is
-    reported with its smaller-mass side.
+    complement), as bitmasks over vertices 0..n-2, by doubling the subset
+    sums: block v holds the masks 2^v..2^(v+1)-1, i.e. the masks m < 2^v
+    with v added, so
+
+        mass[m | 2^v] = mass[m] + psi_v^2
+        flow[m | 2^v] = flow[m] + c_v - 2 inner_v[m],
+
+    with c_v = sum_{u~v} psi_u psi_v and inner_v[m] the part of c_v over
+    u in m, itself built by doubling over u < v.  Each block's ratio is
+    minimized as soon as it is written, so the cost is O(2^n + n^2)
+    element operations and the memory two float arrays of 2^(n-1) entries
+    plus one scratch block of half that.  Ties are broken by smallest
+    subset bitmask; the minimizer is reported with its smaller-mass side.
     """
     psi = np.asarray(psi, dtype=float)
     n = g.n
@@ -163,25 +174,35 @@ def conductance_exact(g: Graph, psi) -> ConductanceReport:
         )
     if np.any(psi <= 0):
         raise DomainError("conductance requires strictly positive amplitudes")
-    masks = np.arange(1, 1 << (n - 1), dtype=np.int64)
     psi2 = psi**2
     total = float(psi2.sum())
-    mass = np.zeros(len(masks))
+    size = 1 << (n - 1)
+    mass = np.zeros(size)
+    flow = np.zeros(size)
+    scratch = np.empty(size >> 1)
+    best, best_mask = math.inf, 0
     for v in range(n - 1):
-        mass += psi2[v] * ((masks >> v) & 1)
-    flow = np.zeros(len(masks))
-    for x, y in g.edges:
-        flow += (psi[x] * psi[y]) * (((masks >> x) ^ (masks >> y)) & 1)
-    ratio = flow / np.minimum(mass, total - mass)
-    best = int(np.argmin(ratio))  # first occurrence = smallest bitmask
-    mask = int(masks[best])
-    subset = [v for v in range(n) if (mask >> v) & 1]
+        half = 1 << v
+        lower = {u: -2.0 * psi[u] * psi[v] for u in g.neighbors(v) if u < v}
+        # delta[m] = c_v - 2 inner_v[m], doubled over u < v
+        delta = scratch[:half]
+        delta[0] = psi[v] * sum(psi[u] for u in g.neighbors(v))
+        for u in range(v):
+            np.add(delta[: 1 << u], lower.get(u, 0.0), out=delta[1 << u : 2 << u])
+        block = slice(half, 2 * half)
+        np.add(mass[:half], psi2[v], out=mass[block])
+        np.add(flow[:half], delta, out=flow[block])
+        ratio = np.subtract(total, mass[block], out=delta)
+        np.minimum(ratio, mass[block], out=ratio)
+        np.divide(flow[block], ratio, out=ratio)
+        i = int(ratio.argmin())  # first occurrence = smallest bitmask
+        if ratio[i] < best:
+            best, best_mask = float(ratio[i]), half + i
+    subset = [v for v in range(n) if (best_mask >> v) & 1]
     if sum(psi2[v] for v in subset) > total / 2:
-        subset = [v for v in range(n) if not (mask >> v) & 1]
+        subset = [v for v in range(n) if not (best_mask >> v) & 1]
     report = cut_profile(g, psi, subset)
-    return ConductanceReport(
-        phi=float(ratio[best]), minimizer=report, cuts_examined=len(masks)
-    )
+    return ConductanceReport(phi=best, minimizer=report, cuts_examined=size - 1)
 
 
 @dataclass(frozen=True)

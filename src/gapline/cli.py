@@ -1,13 +1,14 @@
 """Command-line front-end: generate fixtures, compute gaps and bounds,
 sweep the adiabatic schedule, and run the cross-validation suite.
 
-Exit codes: 0 success, 2 usage/parse, 3 precondition, 4 solver,
-5 bound/check violation.
+Exit codes: 0 success, 2 usage/parse, 3 precondition, 4 solver or
+numerical consistency failure, 5 bound/check violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -16,7 +17,14 @@ import tempfile
 import numpy as np
 
 from . import adiabatic, bounds, graphcore, spectral, verify
-from .errors import ParseError, PreconditionError, SizeGuardError, SolverError, StructureError
+from .errors import (
+    ConsistencyError,
+    ParseError,
+    PreconditionError,
+    SizeGuardError,
+    SolverError,
+    StructureError,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -101,6 +109,8 @@ def cmd_gap(args) -> int:
                 "gap": spec.gap,
                 "psi": list(spec.psi),
                 "residual": spec.residual,
+                "degenerate": spec.degenerate,
+                "positive": spec.positive,
             }
         ),
         args.output,
@@ -201,7 +211,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `gapline` argument parser, built once per process; parse_args
+    fills a fresh namespace from its defaults on every call."""
     parser = argparse.ArgumentParser(
         prog="gapline",
         description="Spectral gap bounds for graph Hamiltonians",
@@ -258,7 +271,7 @@ def main(argv=None) -> int:
             return EXIT_PRECONDITION
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except SolverError as exc:
+    except (SolverError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +157,46 @@ class TestConductanceExact:
         psi /= np.linalg.norm(psi)
         report = bounds.conductance_exact(g, psi)
         assert report.minimizer.mass_inside <= report.minimizer.mass_outside + 1e-15
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(2, 10), st.integers(0, 10_000))
+    def test_matches_brute_force_over_all_cuts(self, n, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n)
+        psi = rng.uniform(0.05, 1.0, n)
+        report = bounds.conductance_exact(g, psi)
+        brute = min(
+            bounds.cut_profile(g, psi, subset).ratio
+            for k in range(1, n)
+            for subset in itertools.combinations(range(n), k)
+        )
+        assert report.phi == pytest.approx(brute, rel=1e-12)
+        assert bounds.cut_profile(g, psi, report.minimizer.subset).ratio == pytest.approx(
+            report.phi, rel=1e-12
+        )
+        assert report.cuts_examined == 2 ** (n - 1) - 1
+
+    def test_exact_tie_reports_smallest_bitmask(self):
+        # Uniform psi on the 4-cycle: {0,1}, {1,2} and their mirrors tie at 1.
+        g = graphcore.Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        report = bounds.conductance_exact(g, np.full(4, 0.5))
+        assert report.phi == 1.0
+        assert report.minimizer.subset == (0, 1)
+
+    def test_peak_memory_below_four_cut_arrays(self):
+        # Doubling keeps two 2^(n-1) arrays and a half-length scratch block
+        # (2.5 arrays); two more full-length temporaries would exceed 4.
+        n = 20
+        rng = np.random.default_rng(20)
+        g = random_connected_graph(rng, n)
+        psi = rng.uniform(0.05, 1.0, n)
+        tracemalloc.start()
+        try:
+            bounds.conductance_exact(g, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * 2 ** (n - 1)
 
     def test_size_guard(self):
         g = graphcore.build_path(25)

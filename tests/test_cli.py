@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gapline import bounds, cli, graphcore, spectral
+from gapline.errors import ConsistencyError
 
 
 def run(capsys, *argv):
@@ -68,6 +69,42 @@ class TestGap:
         code, _, err = run(capsys, "gap", str(bad))
         assert code == 2
         assert "self-loop" in err
+
+    def test_disconnected_graph_flagged(self, tmp_path, capsys):
+        path = tmp_path / "disc.json"
+        path.write_text(json.dumps({"n": 3, "edges": [[0, 1]]}))
+        code, payload, _ = run(capsys, "gap", str(path))
+        assert code == 0
+        doc = json.loads(payload)
+        assert doc["degenerate"] is True
+        assert doc["positive"] is False
+
+    def test_connected_graph_flags(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        run(capsys, "gen", "path", "--l", "4", "-o", str(out))
+        code, payload, _ = run(capsys, "gap", str(out))
+        assert code == 0
+        doc = json.loads(payload)
+        assert doc["degenerate"] is False
+        assert doc["positive"] is True
+
+    def test_consistency_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "p.json"
+        run(capsys, "gen", "path", "--l", "4", "-o", str(out))
+        original = spectral.solve_ground_and_gap
+
+        def failing(*args, **kwargs):
+            raise ConsistencyError("walk matrix rows do not sum to 1")
+
+        # Patch every module that holds a reference, not only `spectral`.
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, "solve_ground_and_gap", None)
+            if name.startswith("gapline") and bound is original:
+                monkeypatch.setattr(module, "solve_ground_and_gap", failing)
+        code, payload, err = run(capsys, "gap", str(out))
+        assert code == 4
+        assert payload == ""
+        assert err == "error: walk matrix rows do not sum to 1\n"
 
     def test_env_tolerance(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "p.json"
@@ -223,6 +260,39 @@ class TestVerify:
         assert "caterpillar_residual" in out
         assert "flat_path_gap" in out
         assert "conductance_sandwich" in out
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_back_to_back_calls_get_fresh_defaults(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "p.json"
+        run(capsys, "gen", "path", "--l", "4", "-o", str(out))
+        monkeypatch.delenv("GAPLINE_TOL", raising=False)
+        original = spectral.solve_ground_and_gap
+        tols = []
+
+        def recording(h, tol=spectral.DEFAULT_TOL):
+            tols.append(tol)
+            return original(h, tol=tol)
+
+        monkeypatch.setattr(spectral, "solve_ground_and_gap", recording)
+        assert run(capsys, "gap", str(out), "--tol", "1e-6")[0] == 0
+        assert run(capsys, "gap", str(out))[0] == 0
+        code, payload, _ = run(capsys, "bounds", str(out), "--conductance", "--tol", "1e-7")
+        assert code == 0 and set(json.loads(payload)) == {"gap", "conductance"}
+        code, payload, _ = run(capsys, "bounds", str(out))
+        assert code == 0
+        assert set(json.loads(payload)) == {"gap", "conductance", "poincare", "single_peaked"}
+        assert tols == [1e-6, spectral.DEFAULT_TOL, 1e-7, spectral.DEFAULT_TOL]
+        code, payload, _ = run(capsys, "sweep", str(out), "--grid", "5")
+        assert code == 0 and len(payload.splitlines()) == 6
+        code, payload, _ = run(capsys, "sweep", str(out))
+        assert code == 0 and len(payload.splitlines()) > 6
+        assert run(capsys, "gen", "path", "--l", "3")[0] == 0
+        code, payload, _ = run(capsys, "gap", str(out))
+        assert code == 0 and "residual" in json.loads(payload)
 
 
 class TestUsage:
