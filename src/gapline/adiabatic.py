@@ -15,7 +15,7 @@ import numpy as np
 
 from .bounds import PLATEAU_TOL
 from .errors import DomainError, PreconditionError
-from .graphcore import Graph, Potential, is_single_peaked
+from .graphcore import Graph, Potential, check_length, is_single_peaked
 from .spectral import DEFAULT_TOL, Hamiltonian, laplacian, solve_ground_and_gap
 
 BULK = "bulk"
@@ -26,11 +26,15 @@ def interpolated_hamiltonian(g: Graph, w: Potential, s: float) -> Hamiltonian:
     """H(s) = (1-s) L_G + s diag(W)."""
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"interpolation parameter must lie in [0,1], got {s}")
-    if len(w) != g.n:
-        raise DomainError(f"potential has length {len(w)}, graph has {g.n} vertices")
-    m = (1.0 - s) * laplacian(g)
-    m[np.diag_indices(g.n)] += s * w.values
-    return Hamiltonian(matrix=m, graph=g)
+    check_length(g, len(w), "potential")
+    return Hamiltonian(matrix=_interpolate(laplacian(g), w, s), graph=g)
+
+
+def _interpolate(lap: np.ndarray, w: Potential, s: float) -> np.ndarray:
+    """(1-s) lap + s diag(W), the matrix of H(s) given L_G."""
+    m = (1.0 - s) * lap
+    m[np.diag_indices(len(w))] += s * w.values
+    return m
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,9 @@ def gap_sweep(g: Graph, w: Potential, grid, tol: float = DEFAULT_TOL) -> list[Sc
         raise DomainError("sweep grid must be nonempty")
     if any(not 0.0 <= s <= 1.0 for s in grid):
         raise DomainError("sweep grid must lie inside [0,1]")
+    check_length(g, len(w), "potential")
     onset = endgame_onset(g)
+    lap = laplacian(g)
     samples = []
     for s in grid:
         if s == 1.0:
@@ -85,7 +91,7 @@ def gap_sweep(g: Graph, w: Potential, grid, tol: float = DEFAULT_TOL) -> list[Sc
                 )
             )
             continue
-        spectrum = solve_ground_and_gap(interpolated_hamiltonian(g, w, s), tol=tol)
+        spectrum = solve_ground_and_gap(Hamiltonian(_interpolate(lap, w, s), g), tol=tol)
         # Amplitudes can underflow to zero very close to s = 1; the peak
         # structure is then not certifiable and the bulk floor is withheld.
         if np.all(spectrum.psi > 0):

@@ -296,7 +296,7 @@ def _bfs_predecessors(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     from scipy.sparse.csgraph import shortest_path
 
     n = g.n
-    x, y = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    x, y = g.edge_index
     adjacency = coo_array((np.ones(len(x)), (x, y)), shape=(n, n)).tocsr()
     dist = shortest_path(adjacency, directed=False, unweighted=True).astype(np.intp)
     pred = np.empty((n, n), dtype=np.intp)
@@ -384,7 +384,7 @@ def _tree_kappa(g: Graph, psi: np.ndarray) -> float:
             up[lv] - parent_lv.start, weights=below[lv], minlength=parent_lv.stop - parent_lv.start
         )
     edge_id = np.zeros((n, n), dtype=np.intp)
-    x, y = np.array(g.edges).T
+    x, y = g.edge_index
     edge_id[x, y] = edge_id[y, x] = np.arange(len(g.edges))
     off = slice(n, None)
     load = np.bincount(
@@ -432,11 +432,12 @@ def path_kappa(psi) -> float:
 
     For each edge j, sums R(s,f) = psi(s)^2 psi(f)^2 * (inverse-flow length
     of the segment) over pairs s <= j < f, doubled for the reverse paths.
-    Raises PreconditionError when an entry is so small that kappa' is not
-    finite in float64.
+    Raises DomainError for a clearly negative entry, and PreconditionError
+    when an entry lies within rounding of zero (|x| <= n eps ||psi||) or is
+    so small that kappa' is not finite in float64.
     """
     psi = np.asarray(psi, dtype=float)
-    if np.any(psi <= 0):
+    if np.any(psi < -len(psi) * np.finfo(float).eps * np.linalg.norm(psi)):
         raise DomainError("path kappa requires strictly positive amplitudes")
     l = len(psi)
     if l < 2:

@@ -6,6 +6,7 @@ generator) are metadata only and never affect identity.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -53,6 +54,7 @@ class Graph:
             adj[x].append(y)
             adj[y].append(x)
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        self._connected: bool | None = None
 
     @property
     def n(self) -> int:
@@ -77,8 +79,17 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(nbrs) for nbrs in self._adj), default=0)
 
+    @functools.cached_property
+    def edge_index(self) -> np.ndarray:
+        """Edges as a read-only (2, m) integer array, rows x < y."""
+        index = np.array(self._edges, dtype=np.intp).reshape(-1, 2).T
+        index.flags.writeable = False
+        return index
+
     def is_connected(self) -> bool:
-        return len(_component_of(self._adj, 0, range(self._n))) == self._n
+        if self._connected is None:
+            self._connected = len(_component_of(self._adj, 0, range(self._n))) == self._n
+        return self._connected
 
     def __eq__(self, other) -> bool:
         return (
@@ -303,9 +314,11 @@ def local_maxima(g: Graph, psi, tol: float = 0.0) -> set[int]:
     """Non-strict local maxima of psi; `tol` widens plateaus for solver noise."""
     psi = np.asarray(psi, dtype=float)
     check_length(g, len(psi), "vector")
-    return {
-        x for x in range(g.n) if all(psi[x] >= psi[y] - tol for y in g.neighbors(x))
-    }
+    x, y = g.edge_index
+    beaten = np.zeros(g.n, dtype=bool)
+    beaten[x[~(psi[x] >= psi[y] - tol)]] = True
+    beaten[y[~(psi[y] >= psi[x] - tol)]] = True
+    return set(np.flatnonzero(~beaten).tolist())
 
 
 def is_single_peaked(g: Graph, psi, tol: float = 0.0) -> bool:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapline import adiabatic, graphcore, spectral
-from gapline.errors import DomainError, PreconditionError
+from gapline.errors import DimensionError, DomainError, PreconditionError
 from gapline.verify import random_tree, random_unique_min_potential
 
 
@@ -39,6 +39,25 @@ class TestInterpolatedHamiltonian:
         g = graphcore.build_path(2)
         with pytest.raises(DomainError):
             adiabatic.interpolated_hamiltonian(g, flat(2), 1.5)
+
+    def test_potential_length_mismatch(self):
+        with pytest.raises(DimensionError):
+            adiabatic.interpolated_hamiltonian(graphcore.build_path(4), flat(2), 0.5)
+
+    def test_sweep_matrices_match(self, monkeypatch):
+        g, w, _ = graphcore.build_caterpillar(3)
+        grid = [0.0, 0.3, 0.77, 0.999]
+        seen = []
+        original = adiabatic.solve_ground_and_gap
+
+        def recording(h, **kwargs):
+            seen.append(h.matrix)
+            return original(h, **kwargs)
+
+        monkeypatch.setattr(adiabatic, "solve_ground_and_gap", recording)
+        adiabatic.gap_sweep(g, w, grid)
+        for s, m in zip(grid, seen, strict=True):
+            assert np.array_equal(m, adiabatic.interpolated_hamiltonian(g, w, s).matrix)
 
 
 class TestGapSweep:
@@ -79,6 +98,11 @@ class TestGapSweep:
         g = graphcore.build_path(5)  # d_G = 2, onset at 1 - 1/16
         samples = adiabatic.gap_sweep(g, flat(5), [0.9, 0.94, 0.95])
         assert [s.regime for s in samples] == ["bulk", adiabatic.ENDGAME, adiabatic.ENDGAME]
+
+    def test_potential_length_checked_before_any_point(self):
+        # s = 1 is read off W directly; a wrong-length W must still be refused.
+        with pytest.raises(DimensionError):
+            adiabatic.gap_sweep(graphcore.build_path(4), graphcore.Potential([0, 1]), [1.0])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):

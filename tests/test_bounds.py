@@ -459,3 +459,8 @@ class TestPathKappa:
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
             bounds.path_kappa([1.0, -1.0])
+
+    def test_negative_rounding_noise_refused_as_precondition(self):
+        # A sign flip at rounding level is an unresolved amplitude, not bad input.
+        with pytest.raises(PreconditionError, match="smallest ground-state amplitude"):
+            bounds.path_kappa([1.0, 0.5, -1e-17])

@@ -238,6 +238,26 @@ class TestSweep:
         assert float(first[0]) == 0.0
         assert first[3] in ("bulk", "endgame")
 
+    def test_sweep_builds_one_laplacian(self, tmp_path, capsys, monkeypatch):
+        gfile = tmp_path / "cat3.json"
+        run(capsys, "gen", "caterpillar", "--l", "3", "-o", str(gfile))
+        original = spectral.laplacian
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # Patch every module that holds a reference, not only `spectral`.
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, "laplacian", None)
+            if name.startswith("gapline") and bound is original:
+                monkeypatch.setattr(module, "laplacian", counting)
+        code, payload, _ = run(capsys, "sweep", str(gfile))
+        assert code == 0
+        assert len(payload.strip().split("\n")) == 119
+        assert len(calls) == 1
+
     def test_deterministic(self, tmp_path, capsys):
         gfile = tmp_path / "p.json"
         run(capsys, "gen", "path", "--l", "4", "-o", str(gfile))

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapline import graphcore
@@ -166,6 +166,31 @@ class TestIsSingleBasin:
         g = graphcore.build_path(len(vals))
         w = graphcore.Potential(vals)
         assert graphcore.is_single_basin(g, w) == graphcore.is_single_basin(g, w.shifted(c))
+
+
+class TestLocalMaxima:
+    @staticmethod
+    def reference(g, psi, tol):
+        return {
+            x for x in range(g.n) if all(psi[x] >= psi[y] - tol for y in g.neighbors(x))
+        }
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(1, 12),
+        st.integers(0, 10_000),
+        st.sampled_from([0.0, 0.05, 0.1, 0.3]),
+        st.booleans(),
+    )
+    def test_matches_neighbour_loop(self, n, seed, tol, with_nan):
+        rng = np.random.default_rng(seed)
+        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+        g = graphcore.Graph(n, [e for e in pairs if rng.random() < 0.4])
+        # One decimal forces exact ties and ties within tol.
+        psi = np.round(rng.uniform(0.0, 1.0, n), 1)
+        if with_nan:
+            psi[rng.integers(n)] = np.nan
+        assert graphcore.local_maxima(g, psi, tol=tol) == self.reference(g, psi, tol)
 
 
 class TestIsSinglePeaked:

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+import scipy.linalg
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapline import graphcore, spectral
-from gapline.errors import DimensionError, DomainError
+from gapline import cli, graphcore, spectral
+from gapline.errors import DimensionError, DomainError, SolverError
 from gapline.verify import random_connected_graph, random_potential
 
 
@@ -121,6 +122,67 @@ class TestSolveGroundAndGap:
         one = spectral.Hamiltonian(matrix=np.zeros((1, 1)))
         with pytest.raises(DomainError):
             spectral.solve_ground_and_gap(one)
+
+
+class TestTwoLowestPairs:
+    """The partial solve must agree with a full dense reference."""
+
+    @staticmethod
+    def check_against_full_reference(g, w):
+        h = spectral.assemble(g, w)
+        spec = spectral.solve_ground_and_gap(h)
+        ref = np.linalg.eigvalsh(h.matrix)
+        tol = 1e-12 * max(1.0, np.linalg.norm(h.matrix, 2))
+        assert spec.energy == pytest.approx(ref[0], abs=tol)
+        assert spec.gap == pytest.approx(ref[1] - ref[0], abs=tol)
+        assert np.linalg.norm(spec.psi) == pytest.approx(1.0, abs=1e-12)
+        assert spec.psi[np.argmax(np.abs(spec.psi))] > 0
+        assert spec.residual <= spec.tol
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(2, 40), st.integers(0, 10_000))
+    def test_random_connected_graphs(self, n, seed):
+        rng = np.random.default_rng(seed)
+        self.check_against_full_reference(
+            random_connected_graph(rng, n), random_potential(rng, n)
+        )
+
+    @settings(deadline=None, max_examples=15)
+    @given(st.integers(2, 8), st.integers(0, 10_000))
+    def test_relabelled_caterpillars(self, l, seed):
+        g, w, _ = graphcore.build_caterpillar(l)
+        perm = np.random.default_rng(seed).permutation(g.n)
+        values = np.empty(g.n)
+        values[perm] = w.values
+        edges = [(perm[x], perm[y]) for x, y in g.edges]
+        self.check_against_full_reference(
+            graphcore.Graph(g.n, edges), graphcore.Potential(values)
+        )
+
+    def test_perturbed_pair_raises_solver_error(self, tmp_path, capsys, monkeypatch):
+        exact = scipy.linalg.eigh
+
+        def perturbed(a, **kwargs):
+            vals, vecs = exact(a, **kwargs)
+            return vals + 1e-3, vecs
+
+        monkeypatch.setattr(spectral.scipy.linalg, "eigh", perturbed)
+        g = graphcore.build_path(5)
+        with pytest.raises(SolverError) as info:
+            spectral.solve_ground_and_gap(spectral.assemble(g, flat(5)))
+        assert info.value.residual > spectral.DEFAULT_TOL
+        path = tmp_path / "p.json"
+        path.write_text(graphcore.write_graph(g))
+        assert cli.main(["gap", str(path)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: eigensolver residual")
+
+    def test_large_potential_within_tolerance(self):
+        g = graphcore.build_path(6)
+        w = graphcore.Potential([0.0, 1.0, 2.0, 1e8, 3.0, 4.0])
+        spec = spectral.solve_ground_and_gap(spectral.assemble(g, w))
+        assert spec.residual <= spec.tol
 
 
 class TestResidualAndRayleigh:
