@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import PLATEAU_TOL
 from .errors import DomainError, PreconditionError
 from .graphcore import Graph, Potential, check_length, is_single_peaked
 from .spectral import DEFAULT_TOL, Hamiltonian, laplacian, solve_ground_and_gap
@@ -27,7 +26,7 @@ def interpolated_hamiltonian(g: Graph, w: Potential, s: float) -> Hamiltonian:
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"interpolation parameter must lie in [0,1], got {s}")
     check_length(g, len(w), "potential")
-    return Hamiltonian(matrix=_interpolate(laplacian(g), w, s), graph=g)
+    return Hamiltonian(matrix=_interpolate(laplacian(g), w, s))
 
 
 def _interpolate(lap: np.ndarray, w: Potential, s: float) -> np.ndarray:
@@ -91,13 +90,10 @@ def gap_sweep(g: Graph, w: Potential, grid, tol: float = DEFAULT_TOL) -> list[Sc
                 )
             )
             continue
-        spectrum = solve_ground_and_gap(Hamiltonian(_interpolate(lap, w, s), g), tol=tol)
-        # Amplitudes can underflow to zero very close to s = 1; the peak
+        spectrum = solve_ground_and_gap(Hamiltonian(_interpolate(lap, w, s)), tol=tol)
+        # Close to s = 1 amplitudes fall below their error bar; the peak
         # structure is then not certifiable and the bulk floor is withheld.
-        if np.all(spectrum.psi > 0):
-            peaked = is_single_peaked(g, spectrum.psi, tol=PLATEAU_TOL)
-        else:
-            peaked = False
+        peaked = spectrum.positive and is_single_peaked(g, spectrum.psi, tol=spectrum.psi_err)
         samples.append(
             ScheduleSample(
                 s=float(s),

@@ -28,10 +28,6 @@ CUT_ENUMERATION_LIMIT = 24
 
 ROW_SUM_TOL = 1e-9
 
-# Plateau tolerance for single-peaked tests on solver output: eigensolver
-# noise of about 1e-16 must not split a flat maximum into components.
-PLATEAU_TOL = 1e-12
-
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
@@ -227,7 +223,7 @@ def gap_sandwich(g: Graph, w: Potential, spectrum: Spectrum) -> SandwichBounds:
     """
     if not g.is_connected():
         raise StructureError("conductance sandwich requires a connected graph")
-    check_length(g, len(spectrum.psi), "spectrum psi")
+    _require_positive(g, spectrum, "conductance sandwich")
     _, shift = normalize_potential(g, w)
     energy = spectrum.energy - shift
     report = conductance_exact(g, spectrum.psi)
@@ -241,18 +237,24 @@ def gap_sandwich(g: Graph, w: Potential, spectrum: Spectrum) -> SandwichBounds:
     )
 
 
-def single_peaked_gap_bound(
-    g: Graph, w: Potential, spectrum: Spectrum, plateau_tol: float = PLATEAU_TOL
-) -> float:
+def _require_positive(g: Graph, spectrum: Spectrum, what: str) -> None:
+    check_length(g, len(spectrum.psi), "spectrum psi")
+    if not spectrum.positive:
+        raise PreconditionError(
+            f"{what} needs a ground state resolved positive; the smallest ground-state "
+            f"amplitude is {np.min(spectrum.psi):.3e}, its error bar {spectrum.psi_err:.3e}"
+        )
+
+
+def single_peaked_gap_bound(g: Graph, w: Potential, spectrum: Spectrum) -> float:
     """Lower bound 1 / (2 (|W| + d_G) |V|^2), valid when the ground state
     of assemble(g, w), given as its solved `spectrum`, is single-peaked;
-    raises PreconditionError naming the disconnected plateau components
-    otherwise.
+    entries within psi_err of a neighbour count as level.  Raises
+    PreconditionError when psi is not resolved positive, or naming the
+    disconnected plateau components.
     """
-    if not g.is_connected():
-        raise StructureError("single-peaked bound requires a connected graph")
-    check_length(g, len(spectrum.psi), "spectrum psi")
-    maxima = local_maxima(g, spectrum.psi, tol=plateau_tol)
+    _require_positive(g, spectrum, "single-peaked bound")
+    maxima = local_maxima(g, spectrum.psi, tol=spectrum.psi_err)
     parts = connected_components(g, maxima)
     if len(parts) > 1:
         listing = "; ".join(str(sorted(p)) for p in parts)

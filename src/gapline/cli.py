@@ -23,7 +23,6 @@ from .errors import (
     PreconditionError,
     SizeGuardError,
     SolverError,
-    StructureError,
 )
 
 EXIT_OK = 0
@@ -102,29 +101,22 @@ def cmd_gap(args) -> int:
     g, w, _ = _load(args.file)
     tol = _tolerance(args.tol)
     spec = spectral.solve_ground_and_gap(spectral.assemble(g, w), tol=tol)
-    _emit(
-        _json_floats(
-            {
-                "E": spec.energy,
-                "gap": spec.gap,
-                "psi": list(spec.psi),
-                "residual": spec.residual,
-                "degenerate": spec.degenerate,
-                "positive": spec.positive,
-            }
-        ),
-        args.output,
-    )
+    doc = {"E": spec.energy, "gap": spec.gap, "psi": list(spec.psi), "residual": spec.residual}
+    # JSON has no infinity; psi_err is inf exactly when the gap is degenerate.
+    doc.update(degenerate=spec.degenerate, positive=spec.positive, gap_err=spec.gap_err,
+               psi_err=None if spec.degenerate else spec.psi_err)
+    _emit(_json_floats(doc), args.output)
     return EXIT_OK
 
 
-def _section(explicit: bool, refusal: type[Exception], compute) -> dict:
-    """One `bounds` section.  A bound that refuses fails the command when it
-    was selected explicitly; otherwise it is reported as {"error": ...} and
-    the other sections are still computed."""
+def _section(explicit: bool, compute) -> dict:
+    """One `bounds` section.  A bound that refuses (a size guard or a failed
+    precondition) fails the command when it was selected explicitly;
+    otherwise it is reported as {"error": ...} and the other sections are
+    still computed."""
     try:
         return compute()
-    except refusal as exc:
+    except (SizeGuardError, PreconditionError) as exc:
         if explicit:
             raise
         return {"error": str(exc)}
@@ -148,16 +140,12 @@ def cmd_bounds(args) -> int:
         }
 
     if args.conductance or run_all:
-        out["conductance"] = _section(args.conductance, SizeGuardError, conductance)
+        out["conductance"] = _section(args.conductance, conductance)
     if args.poincare or run_all:
-        out["poincare"] = _section(
-            args.poincare, PreconditionError, lambda: {"lower": bounds.poincare_bound(g, spec)}
-        )
+        out["poincare"] = _section(args.poincare, lambda: {"lower": bounds.poincare_bound(g, spec)})
     if args.single_peaked or run_all:
         out["single_peaked"] = _section(
-            args.single_peaked,
-            PreconditionError,
-            lambda: {"lower": bounds.single_peaked_gap_bound(g, w, spec)},
+            args.single_peaked, lambda: {"lower": bounds.single_peaked_gap_bound(g, w, spec)}
         )
     if args.cut:
         subset = [int(v) for v in args.cut.split(",")]
@@ -265,10 +253,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except PreconditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     except (ParseError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
-        if isinstance(exc, (PreconditionError, StructureError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PRECONDITION
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (SolverError, ConsistencyError) as exc:

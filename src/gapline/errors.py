@@ -17,16 +17,16 @@ class DomainError(GaplineError, ValueError):
     """An input value lies outside the mathematical domain of the operation."""
 
 
-class StructureError(GaplineError, ValueError):
-    """The graph lacks a required structural property (e.g. connectivity)."""
-
-
 class ParseError(GaplineError, ValueError):
     """A serialized document is malformed; the message names the offending field."""
 
 
 class PreconditionError(GaplineError, ValueError):
     """A documented precondition of a bound or transform does not hold."""
+
+
+class StructureError(PreconditionError):
+    """The graph lacks a required structural property (e.g. connectivity)."""
 
 
 class SolverError(GaplineError, RuntimeError):

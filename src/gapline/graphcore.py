@@ -54,7 +54,6 @@ class Graph:
             adj[x].append(y)
             adj[y].append(x)
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self._connected: bool | None = None
 
     @property
     def n(self) -> int:
@@ -87,9 +86,7 @@ class Graph:
         return index
 
     def is_connected(self) -> bool:
-        if self._connected is None:
-            self._connected = len(_component_of(self._adj, 0, range(self._n))) == self._n
-        return self._connected
+        return len(_component_of(self._adj, 0, range(self._n))) == self._n
 
     def __eq__(self, other) -> bool:
         return (

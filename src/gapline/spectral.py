@@ -8,6 +8,7 @@ connected graphs are sign-fixed positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,16 +19,12 @@ from .graphcore import Graph, Potential, caterpillar_layout, check_length
 
 DEFAULT_TOL = 1e-10
 
-# |Delta^2 psi| at or below this is treated as exactly zero (plateau noise).
-CURVATURE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Hamiltonian:
     """Symmetric matrix d_x + W(x) on the diagonal, -1 on graph edges."""
 
     matrix: np.ndarray
-    graph: Graph | None = None
 
     @property
     def n(self) -> int:
@@ -36,15 +33,26 @@ class Hamiltonian:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Two lowest eigenpairs of a graph Hamiltonian."""
+    """Two lowest eigenpairs of a graph Hamiltonian and their error bars
+    (both 0, i.e. exact, for a hand-built spectrum)."""
 
     energy: float          # ground energy E
     gap: float             # second-lowest eigenvalue minus E
     psi: np.ndarray        # unit-norm ground vector, sign-fixed positive
     residual: float        # max residual of the two eigenpairs over max(1, ||H||_inf)
     tol: float
-    degenerate: bool = False   # gap below tol, reported as-is
-    positive: bool = True      # Perron positivity guaranteed (graph connected)
+    gap_err: float = 0.0   # bound on |gap - exact gap|
+    psi_err: float = 0.0   # bound on ||psi - exact psi||; inf when degenerate
+
+    @property
+    def degenerate(self) -> bool:
+        """The gap is not resolved from zero."""
+        return self.gap <= self.gap_err
+
+    @property
+    def positive(self) -> bool:
+        """Every ground amplitude is resolved positive (Perron positivity)."""
+        return bool(np.min(self.psi) > self.psi_err)
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -61,46 +69,54 @@ def assemble(g: Graph, w: Potential) -> Hamiltonian:
     check_length(g, len(w), "potential")
     m = laplacian(g)
     m[np.diag_indices(g.n)] += w.values
-    return Hamiltonian(matrix=m, graph=g)
+    return Hamiltonian(matrix=m)
 
 
 def solve_ground_and_gap(h: Hamiltonian, tol: float = DEFAULT_TOL) -> Spectrum:
     """Two lowest eigenpairs by partial dense diagonalization.
 
-    Only the two lowest pairs are computed.  Their residuals are checked
-    relative to max(1, ||H||_inf), which bounds every |eigenvalue|.  The
-    ground vector is normalized and sign-fixed by the sign of its
-    largest-magnitude entry.  A gap below tol is flagged degenerate, never
-    rounded to zero.  On a disconnected graph, positivity of the ground
-    vector is not guaranteed and the result is flagged.
+    Only the two lowest pairs are computed, and their residual ||r|| is
+    checked relative to max(1, ||H||_inf), which bounds every |eigenvalue|;
+    an exactly repeated pair, which inverse iteration cannot split, is
+    re-solved in full.  The unit ground vector is sign-fixed by its
+    largest-magnitude entry.  Each eigenvalue lies within ||r|| + eps ||H||_inf
+    of an exact one, so gap_err = 2 (||r|| + eps ||H||_inf); by Davis-Kahan
+    sin theta, psi_err = (gap_err / 2) / (gap - gap_err), inf once the gap
+    is not resolved.  Connectivity needs no test: on a disconnected graph
+    the ground state is degenerate or vanishes on a component.
     """
     if h.n < 2:
         raise DomainError("need at least 2 vertices to define a gap")
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    vals, vecs = scipy.linalg.eigh(h.matrix, subset_by_index=[0, 1])
-    energy = float(vals[0])
-    gap = float(vals[1] - vals[0])
-    psi = vecs[:, 0]
-    top = psi[np.argmax(np.abs(psi))]
-    if top < 0:
-        psi = -psi
     scale = max(1.0, float(np.linalg.norm(h.matrix, np.inf)))
-    res = float(np.linalg.norm(h.matrix @ vecs - vecs * vals, axis=0).max()) / scale
+
+    def residual(vals, vecs):
+        return float(np.linalg.norm(h.matrix @ vecs - vecs * vals, axis=0).max()) / scale
+
+    try:
+        vals, vecs = scipy.linalg.eigh(h.matrix, subset_by_index=[0, 1])
+    except np.linalg.LinAlgError:
+        res = math.inf
+    else:
+        res = residual(vals, vecs)
+    if res > tol:
+        # Inverse iteration cannot split an exactly repeated lowest pair
+        # (LAPACK fails or returns non-eigenvectors); the full solve can.
+        vals, vecs = scipy.linalg.eigh(h.matrix)
+        vals, vecs = vals[:2], vecs[:, :2]
+        res = residual(vals, vecs)
     if res > tol:
         raise SolverError(
             f"eigensolver residual {res:.3e} exceeds tolerance {tol:.3e}",
             residual=res,
         )
-    connected = h.graph.is_connected() if h.graph is not None else bool(np.all(psi > 0))
+    energy, gap = float(vals[0]), float(vals[1] - vals[0])
+    psi = vecs[:, 0] if vecs[np.argmax(np.abs(vecs[:, 0])), 0] > 0 else -vecs[:, 0]
+    gap_err = 2.0 * (res + float(np.finfo(float).eps)) * scale
+    psi_err = gap_err / 2.0 / (gap - gap_err) if gap > gap_err else math.inf
     return Spectrum(
-        energy=energy,
-        gap=gap,
-        psi=psi,
-        residual=res,
-        tol=tol,
-        degenerate=gap < tol,
-        positive=connected,
+        energy=energy, gap=gap, psi=psi, residual=res, tol=tol, gap_err=gap_err, psi_err=psi_err
     )
 
 
@@ -154,10 +170,7 @@ def discrete_curvature(g: Graph, psi) -> np.ndarray:
     return -(laplacian(g) @ psi)
 
 
-def negative_curvature_set(g: Graph, psi, tol: float = CURVATURE_TOL) -> set[int]:
-    """S[psi] = vertices of strictly negative discrete curvature.
-
-    Values within tol of zero are treated as zero and excluded.
-    """
+def negative_curvature_set(g: Graph, psi, tol: float = 0.0) -> set[int]:
+    """S[psi] = vertices of curvature below -tol (strictly negative at tol 0)."""
     curv = discrete_curvature(g, psi)
     return {x for x in range(g.n) if curv[x] < -tol}

@@ -91,37 +91,32 @@ def check_caterpillar_residual(lmax: int, tol: float = 1e-12) -> list[VerifyRow]
 
 
 def check_caterpillar_gap(lmax: int) -> list[VerifyRow]:
-    """Solver gap under the variational ceiling 2 (2/3)^(2l-1), and the
-    exponential decay rate of the gap."""
+    """Solver gap under the variational ceiling 2 (2/3)^(2l-1), certified
+    by its error bar (gap + gap_err <= ceiling), and the exponential decay
+    rate of the resolved (non-degenerate) gaps."""
     rows = []
     logs = []
     for l in range(2, lmax + 1):
         g, w, _ = graphcore.build_caterpillar(l)
         spec = spectral.solve_ground_and_gap(spectral.assemble(g, w))
         ceiling = 2.0 * (2.0 / 3.0) ** (2 * l - 1)
-        rows.append(
-            _row(
-                "caterpillar_gap",
-                f"l={l}",
-                f"<= {ceiling:.6e}",
-                f"{spec.gap:.6e}",
-                spec.gap <= ceiling,
-            )
-        )
-        logs.append((l, math.log(spec.gap)))
-    # Small l carries boundary effects; the asymptotic decay rate is fit
-    # from l = 4 up, and only when at least two such sizes are available.
-    fit = [(l, y) for l, y in logs if l >= 4]
-    if len(fit) < 2:
+        actual = "unresolved" if spec.degenerate else f"{spec.gap:.6e} +- {spec.gap_err:.1e}"
+        rows.append(_row("caterpillar_gap", f"l={l}", f"<= {ceiling:.6e}", actual,
+                         spec.gap + spec.gap_err <= ceiling))
+        # Small l carries boundary effects; the asymptotic decay rate is fit
+        # from l = 4 up, and only when at least two such sizes are available.
+        if l >= 4 and not spec.degenerate:
+            logs.append((l, math.log(spec.gap)))
+    if len(logs) < 2:
         return rows
-    ls = np.array([p[0] for p in fit], dtype=float)
-    ys = np.array([p[1] for p in fit])
+    ls = np.array([p[0] for p in logs], dtype=float)
+    ys = np.array([p[1] for p in logs])
     slope = float(np.polyfit(ls, ys, 1)[0])
     target = 2.0 * math.log(2.0 / 3.0)
     rows.append(
         _row(
             "caterpillar_gap_slope",
-            f"l={int(ls[0])}..{lmax}",
+            f"l={int(ls[0])}..{int(ls[-1])}",
             f"{target:.4f} +- 5%",
             f"{slope:.4f}",
             abs(slope - target) <= 0.05 * abs(target),

@@ -417,6 +417,33 @@ class TestTreePoincare:
 
 
 class TestSpectrumInput:
+    @pytest.mark.parametrize("smallest, psi_err", [(0.0, 0.0), (1e-9, 1e-8), (0.3, math.inf)])
+    def test_unresolved_ground_state_refused(self, smallest, psi_err):
+        g = graphcore.build_path(3)
+        psi = np.array([smallest, 0.8, math.sqrt(0.36 - smallest**2)])
+        spec = spectral.Spectrum(
+            energy=0.0, gap=1.0, psi=psi, residual=0.0, tol=1e-10, psi_err=psi_err
+        )
+        for bound in (bounds.gap_sandwich, bounds.single_peaked_gap_bound):
+            with pytest.raises(PreconditionError, match="resolved positive"):
+                bound(g, flat(3), spec)
+
+    def test_plateau_tolerance_is_psi_err(self):
+        # A plateau dented by 1e-9 is level within an error bar of 1e-8.
+        g = graphcore.build_path(3)
+        psi = np.array([0.5 + 1e-9, 0.5, 0.5 + 1e-9])
+        psi /= np.linalg.norm(psi)
+
+        def bound(psi_err):
+            spec = spectral.Spectrum(
+                energy=0.0, gap=1.0, psi=psi, residual=0.0, tol=1e-10, psi_err=psi_err
+            )
+            return bounds.single_peaked_gap_bound(g, flat(3), spec)
+
+        with pytest.raises(PreconditionError, match="not single-peaked"):
+            bound(0.0)
+        assert bound(1e-8) == pytest.approx(1 / 36)
+
     def test_spectrum_of_another_graph_rejected(self):
         g = graphcore.build_path(4)
         spec = solve(graphcore.build_path(5), flat(5))

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from gapline import bounds, cli, graphcore, spectral
+from gapline import bounds, cli, graphcore, spectral, verify
 from gapline.errors import ConsistencyError
 
 
@@ -87,6 +87,23 @@ class TestGap:
         doc = json.loads(payload)
         assert doc["degenerate"] is False
         assert doc["positive"] is True
+
+    def test_error_bars_printed(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        run(capsys, "gen", "path", "--l", "4", "-o", str(out))
+        doc = json.loads(run(capsys, "gap", str(out))[1])
+        assert 0 < doc["gap_err"] < doc["gap"]
+        assert doc["psi_err"] == pytest.approx(doc["gap_err"] / 2 / (doc["gap"] - doc["gap_err"]))
+        assert min(doc["psi"]) > doc["psi_err"]
+
+    def test_degenerate_psi_err_is_null(self, tmp_path, capsys):
+        out = tmp_path / "cat42.json"
+        run(capsys, "gen", "caterpillar", "--l", "42", "-o", str(out))
+        code, payload, _ = run(capsys, "gap", str(out))
+        assert code == 0
+        doc = json.loads(payload, parse_constant=lambda c: pytest.fail(f"{c} in output"))
+        assert doc["degenerate"] is True and doc["positive"] is False
+        assert doc["psi_err"] is None and doc["gap"] <= doc["gap_err"]
 
     def test_consistency_error_exits_4(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "p.json"
@@ -210,6 +227,37 @@ class TestBounds:
         assert code == 0
         doc = json.loads(payload, parse_constant=lambda c: pytest.fail(f"{c} in output"))
         assert "smallest ground-state amplitude" in doc["poincare"]["error"]
+        # psi = [1e-200, 1, 1e-200]: every refusal stays inside its section.
+        doc = {"n": 3, "edges": [[0, 1], [1, 2]], "potential": [1e200, 0.0, 1e200]}
+        path.write_text(json.dumps(doc))
+        code, payload, _ = run(capsys, "bounds", str(path))
+        assert code == 0
+        doc = json.loads(payload, parse_constant=lambda c: pytest.fail(f"{c} in output"))
+        assert "resolved positive" in doc["conductance"]["error"]
+        assert "error" in doc["single_peaked"]
+
+    def test_disconnected_graph_refused_per_section(self, tmp_path, capsys):
+        path = tmp_path / "disc.json"
+        doc = {"n": 4, "edges": [[0, 1], [2, 3]], "potential": [0.0, 1.0, 0.5, 2.0]}
+        path.write_text(json.dumps(doc))
+        code, payload, _ = run(capsys, "bounds", str(path))
+        assert code == 0
+        doc = json.loads(payload)
+        assert all("error" in doc[name] for name in ("conductance", "poincare", "single_peaked"))
+        assert run(capsys, "bounds", str(path), "--poincare")[0] == 3
+
+    def test_unresolved_ground_state_not_single_peaked(self, tmp_path, capsys):
+        # The step chain's tail is rounding noise (entries of about -1e-48):
+        # refused for its signs, not for a plateau split by noise.
+        l = 60
+        doc = {"n": l, "edges": [[i, i + 1] for i in range(l - 1)],
+               "potential": [0.0] + [1e3] * (l - 1)}
+        path = tmp_path / "step.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "bounds", str(path), "--single-peaked")
+        assert code == 3
+        assert "single-peaked bound needs a ground state resolved positive" in err
+        assert "smallest ground-state amplitude" in err
 
     def test_flat_chain_single_peaked(self, tmp_path, capsys):
         # Solver noise on the constant ground state must not split its plateau.
@@ -274,6 +322,16 @@ class TestVerify:
         assert code == 0
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    def test_unresolved_caterpillar_gaps_fail(self):
+        # Below about 1e-14 float64 no longer certifies the gap under its ceiling.
+        rows = verify.check_caterpillar_gap(42)
+        *gaps, slope = rows
+        assert [r.instance for r in gaps if not r.passed] == ["l=41", "l=42"]
+        assert all(r.actual == "unresolved" for r in gaps if not r.passed)
+        resolved = [int(r.instance[2:]) for r in gaps if r.actual != "unresolved"]
+        assert slope.check == "caterpillar_gap_slope" and slope.passed
+        assert slope.instance == f"l=4..{max(resolved)}"
 
     def test_table_has_expected_rows(self, capsys):
         _, out, _ = run(capsys, "verify", "--lmax", "3")

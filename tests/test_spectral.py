@@ -78,6 +78,22 @@ class TestSolveGroundAndGap:
         assert not spec.positive
         assert spec.degenerate  # two components share eigenvalue 0
 
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (6, [(0, 2), (0, 5), (1, 4), (3, 5)]),
+            (7, [(0, 3), (0, 4), (0, 5), (1, 6), (3, 6), (4, 6), (5, 6)]),
+        ],
+    )
+    def test_exactly_repeated_ground_pair(self, n, edges):
+        # Inverse iteration on the two lowest pairs alone fails here: LAPACK
+        # raises, or returns vectors far from the eigenspace.
+        g = graphcore.Graph(n, edges)
+        spec = spectral.solve_ground_and_gap(spectral.assemble(g, flat(n)))
+        assert spec.residual <= spec.tol
+        assert spec.energy == pytest.approx(0.0, abs=1e-12)
+        assert spec.degenerate and not spec.positive
+
     def test_gap_invariant_under_shift(self):
         rng = np.random.default_rng(11)
         g = random_connected_graph(rng, 8)
@@ -122,6 +138,81 @@ class TestSolveGroundAndGap:
         one = spectral.Hamiltonian(matrix=np.zeros((1, 1)))
         with pytest.raises(DomainError):
             spectral.solve_ground_and_gap(one)
+
+
+def assembled(instance):
+    """The Hamiltonian named by a flag-regression id."""
+    if instance.startswith("caterpillar"):
+        g, w, _ = graphcore.build_caterpillar(int(instance.split("=")[1]))
+    else:
+        g, w = graphcore.build_path(3), graphcore.Potential([1e308, 1e308, 0.0])
+    return spectral.assemble(g, w)
+
+
+class TestErrorBars:
+    """degenerate and positive are read off gap_err and psi_err."""
+
+    @pytest.mark.parametrize(
+        "instance, degenerate, positive",
+        [
+            ("caterpillar l=41", True, False),   # min psi is about -0.17
+            ("caterpillar l=42", True, False),   # bit-equal lowest eigenvalues
+            ("caterpillar l=30", False, False),  # min psi 3e-7, psi resolved to 4e-4
+            ("caterpillar l=20", False, True),
+            ("path W=[1e308, 1e308, 0]", False, False),  # psi = [0, 0, 1]
+        ],
+    )
+    def test_flags(self, instance, degenerate, positive):
+        spec = spectral.solve_ground_and_gap(assembled(instance))
+        assert spec.degenerate is degenerate
+        assert spec.positive is positive
+        assert (spec.psi_err == math.inf) is degenerate
+
+    def test_bars_from_the_residual(self):
+        h = spectral.assemble(graphcore.build_path(6), graphcore.Potential([3.0, 0, 1, 0, 2, 5]))
+        spec = spectral.solve_ground_and_gap(h)
+        scale = max(1.0, np.linalg.norm(h.matrix, np.inf))
+        assert spec.gap_err == pytest.approx(2 * (spec.residual + np.finfo(float).eps) * scale)
+        assert spec.psi_err == pytest.approx(spec.gap_err / 2 / (spec.gap - spec.gap_err))
+
+    @pytest.mark.parametrize("l", [2, 5, 10, 40, 120])
+    def test_flat_path_gap_within_bar(self, l):
+        spec = spectral.solve_ground_and_gap(spectral.assemble(graphcore.build_path(l), flat(l)))
+        assert abs(spec.gap - 4 * math.sin(math.pi / (2 * l)) ** 2) <= spec.gap_err
+        assert np.linalg.norm(spec.psi - 1 / math.sqrt(l)) <= spec.psi_err
+
+    @pytest.mark.parametrize("l", [2, 8, 16, 24, 30])
+    def test_caterpillar_psi_within_bar(self, l):
+        spec = spectral.solve_ground_and_gap(assembled(f"caterpillar l={l}"))
+        exact = graphcore.caterpillar_ground_state(l)
+        assert np.linalg.norm(spec.psi - exact / np.linalg.norm(exact)) <= spec.psi_err
+
+    def test_hand_built_spectrum_is_exact(self):
+        spec = spectral.Spectrum(
+            energy=0.0, gap=1.0, psi=np.array([0.6, 0.8]), residual=0.0, tol=1e-10
+        )
+        assert (spec.gap_err, spec.psi_err) == (0.0, 0.0)
+        assert spec.positive and not spec.degenerate
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
+    st.integers(0, 10_000),
+)
+def test_disconnected_graph_never_positive(a, b, scale, seed):
+    # Two components under a random labelling: Perron positivity fails, and
+    # the error bars say so without any connectivity test.
+    rng = np.random.default_rng(seed)
+    left, right = random_connected_graph(rng, a), random_connected_graph(rng, b)
+    perm = rng.permutation(a + b)
+    edges = [(perm[x], perm[y]) for x, y in left.edges]
+    edges += [(perm[x + a], perm[y + a]) for x, y in right.edges]
+    g = graphcore.Graph(a + b, edges)
+    w = graphcore.Potential(scale * rng.uniform(-1.0, 1.0, a + b))
+    assert not spectral.solve_ground_and_gap(spectral.assemble(g, w)).positive
 
 
 class TestTwoLowestPairs:
