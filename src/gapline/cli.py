@@ -101,11 +101,22 @@ def cmd_gap(args) -> int:
     g, w, _ = _load(args.file)
     tol = _tolerance(args.tol)
     spec = spectral.solve_ground_and_gap(spectral.assemble(g, w), tol=tol)
-    doc = {"E": spec.energy, "gap": spec.gap, "psi": list(spec.psi), "residual": spec.residual}
-    # JSON has no infinity; psi_err is inf exactly when the gap is degenerate.
-    doc.update(degenerate=spec.degenerate, positive=spec.positive, gap_err=spec.gap_err,
-               psi_err=None if spec.degenerate else spec.psi_err)
-    _emit(_json_floats(doc), args.output)
+    _emit(
+        _json_floats(
+            {
+                "E": spec.energy,
+                "gap": spec.gap,
+                "psi": list(spec.psi),
+                "residual": spec.residual,
+                "degenerate": spec.degenerate,
+                "positive": spec.positive,
+                "gap_err": spec.gap_err,
+                # JSON has no infinity; psi_err is inf exactly when degenerate.
+                "psi_err": None if spec.degenerate else spec.psi_err,
+            }
+        ),
+        args.output,
+    )
     return EXIT_OK
 
 
@@ -142,10 +153,13 @@ def cmd_bounds(args) -> int:
     if args.conductance or run_all:
         out["conductance"] = _section(args.conductance, conductance)
     if args.poincare or run_all:
-        out["poincare"] = _section(args.poincare, lambda: {"lower": bounds.poincare_bound(g, spec)})
+        out["poincare"] = _section(
+            args.poincare, lambda: {"lower": bounds.poincare_bound(g, spec)}
+        )
     if args.single_peaked or run_all:
         out["single_peaked"] = _section(
-            args.single_peaked, lambda: {"lower": bounds.single_peaked_gap_bound(g, w, spec)}
+            args.single_peaked,
+            lambda: {"lower": bounds.single_peaked_gap_bound(g, w, spec)},
         )
     if args.cut:
         subset = [int(v) for v in args.cut.split(",")]

@@ -41,8 +41,8 @@ class Spectrum:
     psi: np.ndarray        # unit-norm ground vector, sign-fixed positive
     residual: float        # max residual of the two eigenpairs over max(1, ||H||_inf)
     tol: float
-    gap_err: float = 0.0   # bound on |gap - exact gap|
-    psi_err: float = 0.0   # bound on ||psi - exact psi||; inf when degenerate
+    gap_err: float = 0.0   # first-order bound on |gap - exact gap|
+    psi_err: float = 0.0   # first-order bound on ||psi - exact psi||; inf when degenerate
 
     @property
     def degenerate(self) -> bool:
@@ -75,48 +75,54 @@ def assemble(g: Graph, w: Potential) -> Hamiltonian:
 def solve_ground_and_gap(h: Hamiltonian, tol: float = DEFAULT_TOL) -> Spectrum:
     """Two lowest eigenpairs by partial dense diagonalization.
 
-    Only the two lowest pairs are computed, and their residual ||r|| is
-    checked relative to max(1, ||H||_inf), which bounds every |eigenvalue|;
-    an exactly repeated pair, which inverse iteration cannot split, is
-    re-solved in full.  The unit ground vector is sign-fixed by its
-    largest-magnitude entry.  Each eigenvalue lies within ||r|| + eps ||H||_inf
-    of an exact one, so gap_err = 2 (||r|| + eps ||H||_inf); by Davis-Kahan
-    sin theta, psi_err = (gap_err / 2) / (gap - gap_err), inf once the gap
-    is not resolved.  Connectivity needs no test: on a disconnected graph
-    the ground state is degenerate or vanishes on a component.
+    The residual ||r|| of both pairs is checked relative to max(1, ||H||_inf),
+    which bounds every |eigenvalue|.  The unit ground vector is sign-fixed by
+    its largest-magnitude entry.  gap_err = 2 (||r|| + (k + 1) eps ||H||_inf),
+    with k the most nonzeros in a row of H, adds the rounding of the residual
+    itself (to first order); psi_err = sqrt(2) (gap_err / 2) / (gap - gap_err)
+    is the Davis-Kahan bound on ||psi - exact psi|| (Parlett, ch. 11), inf
+    once the gap is not resolved.  README states the premises of both.
     """
     if h.n < 2:
         raise DomainError("need at least 2 vertices to define a gap")
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     scale = max(1.0, float(np.linalg.norm(h.matrix, np.inf)))
-
-    def residual(vals, vecs):
-        return float(np.linalg.norm(h.matrix @ vecs - vecs * vals, axis=0).max()) / scale
-
-    try:
-        vals, vecs = scipy.linalg.eigh(h.matrix, subset_by_index=[0, 1])
-    except np.linalg.LinAlgError:
-        res = math.inf
-    else:
-        res = residual(vals, vecs)
-    if res > tol:
-        # Inverse iteration cannot split an exactly repeated lowest pair
-        # (LAPACK fails or returns non-eigenvectors); the full solve can.
-        vals, vecs = scipy.linalg.eigh(h.matrix)
+    res = math.inf
+    # Inverse iteration on the partial range cannot split an exactly
+    # repeated lowest pair (LAPACK fails or returns non-eigenvectors); the
+    # full solve can, and runs only then.
+    for subset in ([0, 1], None):
+        try:
+            vals, vecs = scipy.linalg.eigh(h.matrix, subset_by_index=subset)
+        except np.linalg.LinAlgError:
+            continue
         vals, vecs = vals[:2], vecs[:, :2]
-        res = residual(vals, vecs)
+        res = float(np.linalg.norm(h.matrix @ vecs - vecs * vals, axis=0).max()) / scale
+        if res <= tol:
+            break
     if res > tol:
         raise SolverError(
             f"eigensolver residual {res:.3e} exceeds tolerance {tol:.3e}",
             residual=res,
         )
-    energy, gap = float(vals[0]), float(vals[1] - vals[0])
-    psi = vecs[:, 0] if vecs[np.argmax(np.abs(vecs[:, 0])), 0] > 0 else -vecs[:, 0]
-    gap_err = 2.0 * (res + float(np.finfo(float).eps)) * scale
-    psi_err = gap_err / 2.0 / (gap - gap_err) if gap > gap_err else math.inf
+    energy = float(vals[0])
+    gap = float(vals[1] - vals[0])
+    psi = vecs[:, 0]
+    top = psi[np.argmax(np.abs(psi))]
+    if top < 0:
+        psi = -psi
+    rounding = (np.count_nonzero(h.matrix, axis=1).max() + 1) * np.finfo(float).eps
+    gap_err = 2.0 * (res + float(rounding)) * scale
+    psi_err = math.sqrt(2.0) * gap_err / 2.0 / (gap - gap_err) if gap > gap_err else math.inf
     return Spectrum(
-        energy=energy, gap=gap, psi=psi, residual=res, tol=tol, gap_err=gap_err, psi_err=psi_err
+        energy=energy,
+        gap=gap,
+        psi=psi,
+        residual=res,
+        tol=tol,
+        gap_err=gap_err,
+        psi_err=psi_err,
     )
 
 
