@@ -22,7 +22,6 @@ from .adiabatic import (
     switching_schedule,
 )
 from .bounds import (
-    CanonicalPathSet,
     ConductanceReport,
     CutReport,
     SandwichBounds,
@@ -30,10 +29,8 @@ from .bounds import (
     build_walk_matrix,
     conductance_exact,
     cut_profile,
-    default_canonical_paths,
     gap_sandwich,
     normalize_potential,
-    path_kappa,
     poincare_bound,
     single_peaked_gap_bound,
 )

@@ -48,12 +48,6 @@ class WalkMatrix:
 
     matrix: np.ndarray        # P
     stationary: np.ndarray    # pi = psi^2 (unit psi)
-    energy: float             # ground energy E < 0 used in the transform
-    graph: Graph
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
     def spectral_gap(self) -> float:
         """1 minus the second-largest eigenvalue of P.
@@ -92,7 +86,7 @@ def build_walk_matrix(g: Graph, w_shifted: Potential, spectrum: Spectrum) -> Wal
         )
     pi = psi**2
     pi = pi / pi.sum()
-    return WalkMatrix(matrix=p, stationary=pi, energy=spectrum.energy, graph=g)
+    return WalkMatrix(matrix=p, stationary=pi)
 
 
 @dataclass(frozen=True)
@@ -265,27 +259,6 @@ def single_peaked_gap_bound(g: Graph, w: Potential, spectrum: Spectrum) -> float
     return 1.0 / (2.0 * (w.spread + g.max_degree) * g.n**2)
 
 
-@dataclass(frozen=True)
-class CanonicalPathSet:
-    """One edge-simple path per ordered vertex pair; reverse pairs reversed."""
-
-    paths: dict[tuple[int, int], tuple[int, ...]]
-
-    def validate(self, g: Graph) -> None:
-        edge_set = set(g.edges)
-        for (x, y), path in self.paths.items():
-            if path[0] != x or path[-1] != y:
-                raise DomainError(f"path for ({x},{y}) does not join its endpoints")
-            used = set()
-            for a, b in zip(path, path[1:]):
-                e = (min(a, b), max(a, b))
-                if e not in edge_set:
-                    raise DomainError(f"path for ({x},{y}) uses non-edge ({a},{b})")
-                if e in used:
-                    raise DomainError(f"path for ({x},{y}) repeats edge ({a},{b})")
-                used.add(e)
-
-
 def _bfs_predecessors(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Hop distances dist[x, v] and BFS-tree predecessors pred[x, v], all sources.
 
@@ -293,7 +266,7 @@ def _bfs_predecessors(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     dist(x, u) = dist(x, v) - 1, and pred[x, x] = x.  The graph must be
     connected.
     """
-    # Deferred: only canonical paths pay for importing scipy.sparse.
+    # Deferred: only the Poincare bound pays for importing scipy.sparse.
     from scipy.sparse import coo_array
     from scipy.sparse.csgraph import shortest_path
 
@@ -309,28 +282,6 @@ def _bfs_predecessors(g: Graph) -> tuple[np.ndarray, np.ndarray]:
             pred[:, v] = nbrs[np.argmax(dist[:, nbrs] == dist[:, v, np.newaxis] - 1, axis=1)]
     pred[np.diag_indices(n)] = np.arange(n)
     return dist, pred
-
-
-def default_canonical_paths(g: Graph) -> CanonicalPathSet:
-    """Breadth-first shortest paths, lowest-index predecessor tie-break.
-
-    The path for (x, y) with x < y follows the BFS tree of x; (y, x) is its
-    reverse.  On path graphs this reproduces the unique valid choice.
-    """
-    if not g.is_connected():
-        raise StructureError("canonical paths require a connected graph")
-    pred = _bfs_predecessors(g)[1].tolist()
-    paths: dict[tuple[int, int], tuple[int, ...]] = {}
-    for x in range(g.n):
-        for y in range(g.n):
-            if y < x:
-                paths[(x, y)] = tuple(reversed(paths[(y, x)]))
-            elif y > x:
-                chain = [y]
-                while chain[-1] != x:
-                    chain.append(pred[x][chain[-1]])
-                paths[(x, y)] = tuple(reversed(chain))
-    return CanonicalPathSet(paths=paths)
 
 
 def _require_finite_kappa(psi: np.ndarray) -> None:
@@ -353,7 +304,8 @@ def _require_finite_kappa(psi: np.ndarray) -> None:
 
 
 def _tree_kappa(g: Graph, psi: np.ndarray) -> float:
-    """kappa' for default_canonical_paths, from one BFS tree per source.
+    """kappa' for the canonical paths of poincare_bound, from one BFS tree
+    per source.
 
     For each source x, length[x, v] is the inverse-flow length of the tree
     path from x to v, and below[x, v] sums psi_y^2 length[x, y] over the
@@ -397,63 +349,21 @@ def _tree_kappa(g: Graph, psi: np.ndarray) -> float:
     return float(load.max())
 
 
-def poincare_bound(
-    g: Graph, spectrum: Spectrum, paths: CanonicalPathSet | None = None
-) -> float:
+def poincare_bound(g: Graph, spectrum: Spectrum) -> float:
     """Poincare lower bound 1/kappa' on the gap of H_{G,W}.
 
-    kappa' is computed with the unit-normalized ground state of the solved
-    `spectrum`; the ground energy cancels from the final bound, so no shift
-    is needed.  Without `paths`, kappa' for default_canonical_paths comes
-    from the BFS trees directly and no path set is built.  Raises
-    PreconditionError when the ground state has an entry <= 0 or so small
-    that kappa' is not finite in float64.
+    The canonical path for x < y is the breadth-first shortest path in the
+    BFS tree of x, whose predecessors break ties by lowest index; (y, x)
+    takes its reverse.  kappa' is the largest edge load, where the path of
+    (x, y) puts psi_x^2 psi_y^2 sum_{(a,b) on the path} 1/(psi_a psi_b) on
+    each of its edges.  It is computed with the unit-normalized ground state
+    of the solved `spectrum`; the ground energy cancels from the final
+    bound, so no shift is needed.  Raises PreconditionError when the ground
+    state has an entry <= 0 or so small that kappa' is not finite in float64.
     """
     if not g.is_connected():
         raise StructureError("Poincare bound requires a connected graph")
     check_length(g, len(spectrum.psi), "spectrum psi")
     psi = spectrum.psi
     _require_finite_kappa(psi)
-    if paths is None:
-        return 1.0 / _tree_kappa(g, psi)
-    paths.validate(g)
-    load: dict[tuple[int, int], float] = {e: 0.0 for e in g.edges}
-    for (x, y), path in paths.paths.items():
-        weight = psi[x] ** 2 * psi[y] ** 2
-        inv_flow = sum(
-            1.0 / (psi[a] * psi[b]) for a, b in zip(path, path[1:])
-        )
-        for a, b in zip(path, path[1:]):
-            load[(min(a, b), max(a, b))] += weight * inv_flow
-    kappa = max(load.values())
-    return 1.0 / kappa
-
-
-def path_kappa(psi) -> float:
-    """kappa' on a path graph by the specialized double sum.
-
-    For each edge j, sums R(s,f) = psi(s)^2 psi(f)^2 * (inverse-flow length
-    of the segment) over pairs s <= j < f, doubled for the reverse paths.
-    Raises DomainError for a clearly negative entry, and PreconditionError
-    when an entry lies within rounding of zero (|x| <= n eps ||psi||) or is
-    so small that kappa' is not finite in float64.
-    """
-    psi = np.asarray(psi, dtype=float)
-    if np.any(psi < -len(psi) * np.finfo(float).eps * np.linalg.norm(psi)):
-        raise DomainError("path kappa requires strictly positive amplitudes")
-    l = len(psi)
-    if l < 2:
-        raise DomainError("path kappa needs at least 2 vertices")
-    _require_finite_kappa(psi)
-    p2 = psi**2
-    # t[k] = sum over edges (v, v+1) with v < k of 1/(psi(v) psi(v+1))
-    t = np.concatenate(([0.0], np.cumsum(1.0 / (psi[:-1] * psi[1:]))))
-    left_mass = np.cumsum(p2)            # sum_{s <= j} psi(s)^2
-    left_wt = np.cumsum(p2 * t)          # sum_{s <= j} psi(s)^2 t[s]
-    right_mass = np.cumsum(p2[::-1])[::-1]
-    right_wt = np.cumsum((p2 * t)[::-1])[::-1]
-    kappa = 0.0
-    for j in range(l - 1):
-        total = left_mass[j] * right_wt[j + 1] - left_wt[j] * right_mass[j + 1]
-        kappa = max(kappa, 2.0 * total)
-    return float(kappa)
+    return 1.0 / _tree_kappa(g, psi)

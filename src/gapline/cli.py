@@ -32,13 +32,6 @@ EXIT_SOLVER = 4
 EXIT_BOUND = 5
 
 
-def _tolerance(cli_value: float | None) -> float:
-    if cli_value is not None:
-        return cli_value
-    env = os.environ.get("GAPLINE_TOL")
-    return float(env) if env else spectral.DEFAULT_TOL
-
-
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -71,21 +64,6 @@ def _load(path: str):
         return graphcore.read_graph(fh.read())
 
 
-def _json_floats(obj) -> str:
-    """JSON with every float at 17 significant digits."""
-
-    def walk(v):
-        if isinstance(v, float):
-            return float(_fmt(v))
-        if isinstance(v, dict):
-            return {k: walk(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [walk(x) for x in v]
-        return v
-
-    return json.dumps(walk(obj))
-
-
 def cmd_gen(args) -> int:
     if args.kind == "path":
         g = graphcore.build_path(args.l)
@@ -99,10 +77,9 @@ def cmd_gen(args) -> int:
 
 def cmd_gap(args) -> int:
     g, w, _ = _load(args.file)
-    tol = _tolerance(args.tol)
-    spec = spectral.solve_ground_and_gap(spectral.assemble(g, w), tol=tol)
+    spec = spectral.solve_ground_and_gap(spectral.assemble(g, w), tol=args.tol)
     _emit(
-        _json_floats(
+        json.dumps(
             {
                 "E": spec.energy,
                 "gap": spec.gap,
@@ -135,10 +112,9 @@ def _section(explicit: bool, compute) -> dict:
 
 def cmd_bounds(args) -> int:
     g, w, _ = _load(args.file)
-    tol = _tolerance(args.tol)
     run_all = not (args.conductance or args.poincare or args.single_peaked or args.cut)
     out: dict = {}
-    spec = spectral.solve_ground_and_gap(spectral.assemble(g, w), tol=tol)
+    spec = spectral.solve_ground_and_gap(spectral.assemble(g, w), tol=args.tol)
     out["gap"] = spec.gap
 
     def conductance():
@@ -170,18 +146,17 @@ def cmd_bounds(args) -> int:
             "ratio": report.ratio,
             "upper": 2.0 * report.ratio,
         }
-    _emit(_json_floats(out), args.output)
+    _emit(json.dumps(out), args.output)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     g, w, _ = _load(args.file)
-    tol = _tolerance(args.tol)
     if args.grid is not None:
         grid = list(np.linspace(0.0, 1.0, args.grid))
     else:
         grid = adiabatic.default_sweep_grid(g)
-    samples = adiabatic.gap_sweep(g, w, grid, tol=tol)
+    samples = adiabatic.gap_sweep(g, w, grid, tol=args.tol)
     lines = ["s,gamma,bound,regime,single_peaked"]
     for sm in samples:
         bound = _fmt(sm.gamma_bound) if sm.gamma_bound is not None else "na"
@@ -231,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="ground energy, gap, and ground state")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gap)
 
@@ -241,14 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poincare", action="store_true")
     p.add_argument("--single-peaked", dest="single_peaked", action="store_true")
     p.add_argument("--cut", help="comma-separated vertex subset for cut_profile")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sweep", help="gap sweep along the adiabatic schedule")
     p.add_argument("file")
     p.add_argument("--grid", type=int, default=None, help="uniform grid size on [0,1]")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_sweep)
 

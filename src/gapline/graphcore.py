@@ -341,19 +341,17 @@ def read_graph(text: str) -> tuple[Graph, Potential, dict[str, int] | None]:
         raise ParseError("document must be a JSON object")
     if "n" not in doc:
         raise ParseError('missing field "n"')
+    # Exact type tests, not isinstance: JSON true/false load as bool, a
+    # subclass of int, and are neither counts, vertex indices nor potentials.
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ParseError('"n" must be a positive integer')
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise ParseError('"edges" must be a list of pairs')
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) for v in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)):
             raise ParseError(f'"edges" entry {e!r} is not an integer pair')
-        if e[0] == e[1]:
-            raise ParseError(f'"edges" entry {e!r} is a self-loop')
-        if not all(0 <= v < n for v in e):
-            raise ParseError(f'"edges" entry {e!r} has endpoint outside [0,{n})')
     try:
         g = Graph(n, edges)
     except DomainError as exc:
@@ -362,7 +360,11 @@ def read_graph(text: str) -> tuple[Graph, Potential, dict[str, int] | None]:
     if raw_w is None:
         w = Potential(np.zeros(n))
     else:
-        if not isinstance(raw_w, list) or len(raw_w) != n:
+        if not (
+            isinstance(raw_w, list)
+            and len(raw_w) == n
+            and all(type(v) in (int, float) for v in raw_w)
+        ):
             raise ParseError(f'"potential" must be a list of {n} numbers')
         try:
             w = Potential(raw_w)
@@ -373,7 +375,7 @@ def read_graph(text: str) -> tuple[Graph, Potential, dict[str, int] | None]:
         if not isinstance(labels, dict):
             raise ParseError('"labels" must be an object mapping names to vertices')
         for k, v in labels.items():
-            if not isinstance(v, int) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 raise ParseError(f'"labels" entry {k!r}: {v!r} is not a vertex index')
     return g, w, labels
 

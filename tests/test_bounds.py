@@ -1,5 +1,7 @@
+import collections
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -303,32 +305,6 @@ class TestSinglePeakedGapBound:
             bounds.single_peaked_gap_bound(g, w, solve(g, w))
 
 
-class TestCanonicalPaths:
-    def test_path_graph_unique_choice(self):
-        g = graphcore.build_path(4)
-        paths = bounds.default_canonical_paths(g)
-        assert paths.paths[(0, 3)] == (0, 1, 2, 3)
-        assert paths.paths[(3, 0)] == (3, 2, 1, 0)
-
-    def test_cycle_tie_break(self):
-        g = graphcore.Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        paths = bounds.default_canonical_paths(g)
-        assert paths.paths[(0, 2)] == (0, 1, 2)
-
-    def test_all_ordered_pairs_covered(self):
-        rng = np.random.default_rng(47)
-        g = random_connected_graph(rng, 7)
-        paths = bounds.default_canonical_paths(g)
-        assert len(paths.paths) == 7 * 6
-        paths.validate(g)
-
-    def test_invalid_path_rejected(self):
-        g = graphcore.build_path(3)
-        bad = bounds.CanonicalPathSet(paths={(0, 2): (0, 2)})
-        with pytest.raises(DomainError, match="non-edge"):
-            bad.validate(g)
-
-
 class TestPoincareBound:
     def test_flat_two_vertex(self):
         g = graphcore.build_path(2)
@@ -373,9 +349,52 @@ def relabelled(rng, g, w):
     return graphcore.Graph(g.n, edges), graphcore.Potential(values)
 
 
+def bfs_paths(g):
+    """Canonical paths for every ordered pair, built without gapline's BFS:
+    a deque BFS from each source x, the path to y > x traced back through
+    pred[v] = min{u ~ v : dist[u] = dist[v] - 1}, and (y, x) its reverse."""
+    paths = {}
+    for x in range(g.n):
+        dist = {x: 0}
+        queue = collections.deque([x])
+        while queue:
+            v = queue.popleft()
+            for u in g.neighbors(v):
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        for y in range(x + 1, g.n):
+            back = [y]
+            while back[-1] != x:
+                v = back[-1]
+                back.append(min(u for u in g.neighbors(v) if dist[u] == dist[v] - 1))
+            paths[(x, y)] = tuple(reversed(back))
+            paths[(y, x)] = tuple(back)
+    return paths
+
+
+def path_load_kappa(g, psi, paths):
+    """kappa' as the largest edge load of `paths`, one ordered pair at a time."""
+    load = {e: 0.0 for e in g.edges}
+    for (x, y), path in paths.items():
+        weight = psi[x] ** 2 * psi[y] ** 2
+        inv_flow = sum(1 / (psi[a] * psi[b]) for a, b in zip(path, path[1:]))
+        for a, b in zip(path, path[1:]):
+            load[(min(a, b), max(a, b))] += weight * inv_flow
+    return max(load.values())
+
+
+def reference_bound(g, spec):
+    return 1 / path_load_kappa(g, spec.psi, bfs_paths(g))
+
+
+def spectrum_with(psi):
+    return spectral.Spectrum(energy=0.0, gap=1.0, psi=np.asarray(psi), residual=0.0, tol=1e-10)
+
+
 class TestTreePoincare:
-    """poincare_bound without paths walks BFS trees; it must equal the
-    generic load over default_canonical_paths."""
+    """poincare_bound walks BFS trees; it must equal the generic load over
+    the independently built path set of bfs_paths."""
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(2, 30), st.integers(0, 10_000))
@@ -383,18 +402,35 @@ class TestTreePoincare:
         rng = np.random.default_rng(seed)
         g = random_connected_graph(rng, n)
         spec = solve(g, random_potential(rng, n))
-        tree = bounds.poincare_bound(g, spec)
-        generic = bounds.poincare_bound(g, spec, bounds.default_canonical_paths(g))
-        assert tree == pytest.approx(generic, rel=1e-12)
+        assert bounds.poincare_bound(g, spec) == pytest.approx(reference_bound(g, spec), rel=1e-12)
 
     @settings(deadline=None, max_examples=15)
     @given(st.integers(2, 8), st.integers(0, 10_000))
     def test_matches_path_set_on_relabelled_caterpillars(self, l, seed):
         g, w = relabelled(np.random.default_rng(seed), *graphcore.build_caterpillar(l)[:2])
         spec = solve(g, w)
-        tree = bounds.poincare_bound(g, spec)
-        generic = bounds.poincare_bound(g, spec, bounds.default_canonical_paths(g))
-        assert tree == pytest.approx(generic, rel=1e-12)
+        assert bounds.poincare_bound(g, spec) == pytest.approx(reference_bound(g, spec), rel=1e-12)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(2, 50), st.integers(0, 10_000))
+    def test_matches_path_set_on_paths(self, l, seed):
+        rng = np.random.default_rng(seed)
+        psi = rng.uniform(0.05, 1.0, l)
+        spec = spectrum_with(psi / np.linalg.norm(psi))
+        g = graphcore.build_path(l)
+        assert bounds.poincare_bound(g, spec) == pytest.approx(reference_bound(g, spec), rel=1e-12)
+
+    def test_cycle_tie_break(self):
+        # (0, 2) has two shortest paths on the 4-cycle; the lowest-index
+        # predecessor routes it through 1, and through 3 kappa' would differ.
+        g = graphcore.Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        spec = spectrum_with([0.2, 0.7, 0.3, 0.6])
+        paths = bfs_paths(g)
+        assert paths[(0, 2)] == (0, 1, 2)
+        detour = {**paths, (0, 2): (0, 3, 2), (2, 0): (2, 3, 0)}
+        bound = bounds.poincare_bound(g, spec)
+        assert bound == pytest.approx(reference_bound(g, spec), rel=1e-12)
+        assert bound != pytest.approx(1 / path_load_kappa(g, spec.psi, detour), rel=1e-3)
 
     def test_underflowing_ground_state_refused(self):
         # W = [0, 1e3, ..., 1e3]: psi falls to about 1e-177 along the chain.
@@ -402,18 +438,13 @@ class TestTreePoincare:
         spec = solve(g, graphcore.Potential(np.r_[0.0, np.full(59, 1e3)]))
         with pytest.raises(PreconditionError, match="smallest ground-state amplitude"):
             bounds.poincare_bound(g, spec)
-        with pytest.raises(PreconditionError, match="smallest ground-state amplitude"):
-            bounds.poincare_bound(g, spec, bounds.default_canonical_paths(g))
-        with pytest.raises(PreconditionError, match="smallest ground-state amplitude"):
-            bounds.path_kappa(spec.psi)
 
     def test_zero_amplitude_refused(self):
+        # An exact zero, and a sign flip at rounding level.
         g = graphcore.build_path(3)
-        spec = spectral.Spectrum(
-            energy=0.0, gap=1.0, psi=np.array([0.6, 0.8, 0.0]), residual=0.0, tol=1e-10
-        )
-        with pytest.raises(PreconditionError, match="0.000e"):
-            bounds.poincare_bound(g, spec)
+        for psi in ([0.6, 0.8, 0.0], [1.0, 0.5, -1e-17]):
+            with pytest.raises(PreconditionError, match=re.escape(f"is {min(psi):.3e}")):
+                bounds.poincare_bound(g, spectrum_with(psi))
 
 
 class TestSpectrumInput:
@@ -453,41 +484,3 @@ class TestSpectrumInput:
             bounds.single_peaked_gap_bound(g, flat(4), spec)
         with pytest.raises(DimensionError):
             bounds.poincare_bound(g, spec)
-
-
-class TestPathKappa:
-    def test_two_vertex_uniform(self):
-        assert bounds.path_kappa(np.ones(2) / math.sqrt(2)) == pytest.approx(1.0)
-
-    @settings(deadline=None, max_examples=30)
-    @given(st.integers(2, 50), st.integers(0, 10_000))
-    def test_agrees_with_generic_kappa(self, l, seed):
-        rng = np.random.default_rng(seed)
-        psi = rng.uniform(0.05, 1.0, l)
-        psi /= np.linalg.norm(psi)
-        g = graphcore.build_path(l)
-        paths = bounds.default_canonical_paths(g)
-        load = {e: 0.0 for e in g.edges}
-        for (x, y), path in paths.paths.items():
-            weight = psi[x] ** 2 * psi[y] ** 2
-            inv_flow = sum(1 / (psi[a] * psi[b]) for a, b in zip(path, path[1:]))
-            for a, b in zip(path, path[1:]):
-                load[(min(a, b), max(a, b))] += weight * inv_flow
-        assert bounds.path_kappa(psi) == pytest.approx(max(load.values()), rel=1e-12)
-
-    def test_single_peaked_kappa_at_most_l_l_minus_one(self):
-        rng = np.random.default_rng(59)
-        for l in (5, 12, 30):
-            g = graphcore.build_path(l)
-            w = random_single_basin_path_potential(rng, l)
-            psi = solve(g, w).psi
-            assert bounds.path_kappa(psi) <= l * (l - 1) + 1e-9
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(DomainError):
-            bounds.path_kappa([1.0, -1.0])
-
-    def test_negative_rounding_noise_refused_as_precondition(self):
-        # A sign flip at rounding level is an unresolved amplitude, not bad input.
-        with pytest.raises(PreconditionError, match="smallest ground-state amplitude"):
-            bounds.path_kappa([1.0, 0.5, -1e-17])
