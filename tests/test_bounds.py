@@ -440,11 +440,19 @@ class TestTreePoincare:
             bounds.poincare_bound(g, spec)
 
     def test_zero_amplitude_refused(self):
-        # An exact zero, and a sign flip at rounding level.
         g = graphcore.build_path(3)
-        for psi in ([0.6, 0.8, 0.0], [1.0, 0.5, -1e-17]):
-            with pytest.raises(PreconditionError, match=re.escape(f"is {min(psi):.3e}")):
-                bounds.poincare_bound(g, spectrum_with(psi))
+        with pytest.raises(PreconditionError, match=re.escape("is 0.000e+00")):
+            bounds.poincare_bound(g, spectrum_with([0.6, 0.8, 0.0]))
+
+
+class TestPathKappa:
+    """kappa' on a path graph, through poincare_bound."""
+
+    def test_negative_rounding_noise_refused_as_precondition(self):
+        # A sign flip at rounding level is an unresolved amplitude, not bad input.
+        g = graphcore.build_path(3)
+        with pytest.raises(PreconditionError, match=re.escape("is -1.000e-17")):
+            bounds.poincare_bound(g, spectrum_with([1.0, 0.5, -1e-17]))
 
 
 class TestSpectrumInput:
