@@ -26,6 +26,9 @@ from .spectral import Spectrum, assemble
 # 2^(n-1) - 1 cuts; above this, use cut_profile on chosen cuts instead.
 CUT_ENUMERATION_LIMIT = 24
 
+# Cuts per block of the conductance sweep: 256 KiB per float temporary.
+_CUT_BLOCK = 1 << 15
+
 ROW_SUM_TOL = 1e-9
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -138,19 +141,20 @@ def conductance_exact(g: Graph, psi) -> ConductanceReport:
     """Exhaustive-minimum conductance Phi_H over all proper cuts.
 
     Enumerates each {S, complement} pair once (vertex n-1 pinned to the
-    complement), as bitmasks over vertices 0..n-2, by doubling the subset
-    sums: block v holds the masks 2^v..2^(v+1)-1, i.e. the masks m < 2^v
-    with v added, so
+    complement), as bitmasks m = m2 2^h1 + m1 over vertices 0..n-2, meet in
+    the middle: m1 holds the low h1 = ceil((n-1)/2) bits and m2 the rest, so
+    the cuts form a 2^h2 x 2^h1 table in mask order.  With B_i the bit
+    matrix of half i, w_xy = psi_x psi_y and c_v the sum of w at v,
 
-        mass[m | 2^v] = mass[m] + psi_v^2
-        flow[m | 2^v] = flow[m] + c_v - 2 inner_v[m],
+        mass[m] = M2[m2] + M1[m1],  M_i = B_i psi^2,
+        flow[m] = F2[m2] + F1[m1] - 2 (B2 W21 B1^T)[m2, m1],
+        F_i = B_i c - 2 (w summed over the edges inside the half's subset),
 
-    with c_v = sum_{u~v} psi_u psi_v and inner_v[m] the part of c_v over
-    u in m, itself built by doubling over u < v.  Each block's ratio is
-    minimized as soon as it is written, so the cost is O(2^n + n^2)
-    element operations and the memory two float arrays of 2^(n-1) entries
-    plus one scratch block of half that.  Ties are broken by smallest
-    subset bitmask; the minimizer is reported with its smaller-mass side.
+    with W21 the edges between the halves.  Blocks of about 2^15 cuts get
+    their flows from one matmul [-2 B2 W21 | F2 | 1] @ [B1^T ; 1 ; F1] and
+    are minimized at once: O(2^n n) flops in O(2^(n/2) n) memory.  Ties are
+    broken by smallest subset bitmask; the minimizer is reported with its
+    smaller-mass side.
     """
     psi = np.asarray(psi, dtype=float)
     n = g.n
@@ -166,33 +170,45 @@ def conductance_exact(g: Graph, psi) -> ConductanceReport:
         raise DomainError("conductance requires strictly positive amplitudes")
     psi2 = psi**2
     total = float(psi2.sum())
-    size = 1 << (n - 1)
-    mass = np.zeros(size)
-    flow = np.zeros(size)
-    scratch = np.empty(size >> 1)
+    weights = np.zeros((n, n))
+    x, y = g.edge_index
+    weights[x, y] = weights[y, x] = psi[x] * psi[y]
+    degree_flow = weights.sum(axis=1)
+    h1, h2 = n // 2, (n - 1) // 2
+    low, high = slice(0, h1), slice(h1, n - 1)
+    b1 = ((np.arange(1 << h1)[:, np.newaxis] >> np.arange(h1)) & 1).astype(float)
+    b2 = b1[: 1 << h2, :h2]
+    left, right = np.ones((len(b2), h1 + 2)), np.ones((h1 + 2, len(b1)))
+    np.matmul(b2, -2.0 * weights[high, low], out=left[:, :h1])
+    right[:h1] = b1.T
+    for b, part, half_flow in ((b2, high, left[:, h1]), (b1, low, right[h1 + 1])):
+        half_flow[:] = b @ degree_flow[part] - ((b @ weights[part, part]) * b).sum(axis=1)
+    # min(mass, total - mass) = total/2 - |mass - total/2|; a rank-2 matmul
+    # broadcasts the half masses faster than an outer sum.
+    mass_left, mass_right = np.ones((len(b2), 2)), np.ones((2, len(b1)))
+    mass_left[:, 0] = b2 @ psi2[high] - total / 2.0
+    mass_right[1] = b1 @ psi2[low]
+    # Both counts are powers of 2, so the blocks are equal.  Their buffers are
+    # reused: a fresh block-sized temporary is a new mmap, faulted in anew.
+    cols = len(b1)
+    rows = min(len(b2), _CUT_BLOCK // cols)
+    flow, denom = np.empty((rows, cols)), np.empty((rows, cols))
     best, best_mask = math.inf, 0
-    for v in range(n - 1):
-        half = 1 << v
-        lower = {u: -2.0 * psi[u] * psi[v] for u in g.neighbors(v) if u < v}
-        # delta[m] = c_v - 2 inner_v[m], doubled over u < v
-        delta = scratch[:half]
-        delta[0] = psi[v] * sum(psi[u] for u in g.neighbors(v))
-        for u in range(v):
-            np.add(delta[: 1 << u], lower.get(u, 0.0), out=delta[1 << u : 2 << u])
-        block = slice(half, 2 * half)
-        np.add(mass[:half], psi2[v], out=mass[block])
-        np.add(flow[:half], delta, out=flow[block])
-        ratio = np.subtract(total, mass[block], out=delta)
-        np.minimum(ratio, mass[block], out=ratio)
-        np.divide(flow[block], ratio, out=ratio)
-        i = int(ratio.argmin())  # first occurrence = smallest bitmask
-        if ratio[i] < best:
-            best, best_mask = float(ratio[i]), half + i
+    for start in range(0, len(b2), rows):
+        np.matmul(left[start : start + rows], right, out=flow)
+        np.matmul(mass_left[start : start + rows], mass_right, out=denom)
+        np.subtract(total / 2.0, np.abs(denom, out=denom), out=denom)
+        if start == 0:
+            flow[0, 0], denom[0, 0] = math.inf, 1.0  # the empty cut, mask 0
+        ratio = np.divide(flow, denom, out=flow)
+        i = int(ratio.argmin())  # first occurrence in row-major = smallest bitmask
+        if ratio.flat[i] < best:
+            best, best_mask = float(ratio.flat[i]), start * cols + i
     subset = [v for v in range(n) if (best_mask >> v) & 1]
     if sum(psi2[v] for v in subset) > total / 2:
         subset = [v for v in range(n) if not (best_mask >> v) & 1]
     report = cut_profile(g, psi, subset)
-    return ConductanceReport(phi=best, minimizer=report, cuts_examined=size - 1)
+    return ConductanceReport(phi=best, minimizer=report, cuts_examined=(1 << (n - 1)) - 1)
 
 
 @dataclass(frozen=True)
@@ -267,19 +283,24 @@ def _bfs_predecessors(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     connected.
     """
     # Deferred: only the Poincare bound pays for importing scipy.sparse.
-    from scipy.sparse import coo_array
+    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import shortest_path
 
     n = g.n
     x, y = g.edge_index
-    adjacency = coo_array((np.ones(len(x)), (x, y)), shape=(n, n)).tocsr()
+    # Directed edges tail -> head, sorted by (head, tail): the in-edges of v
+    # form one run, tails ascending, which is row v of the adjacency in CSR.
+    heads, tails = np.r_[y, x], np.r_[x, y]
+    order = np.lexsort((tails, heads))
+    heads, tails = heads[order], tails[order]
+    starts = np.r_[0, np.cumsum(np.bincount(heads, minlength=n))]
+    adjacency = csr_array((np.ones(len(tails)), tails, starts), shape=(n, n))
     dist = shortest_path(adjacency, directed=False, unweighted=True).astype(np.intp)
     pred = np.empty((n, n), dtype=np.intp)
-    for v in range(n):
-        nbrs = np.array(g.neighbors(v), dtype=np.intp)
-        if len(nbrs):
-            # argmax picks the first hit; neighbours are in ascending order.
-            pred[:, v] = nbrs[np.argmax(dist[:, nbrs] == dist[:, v, np.newaxis] - 1, axis=1)]
+    if len(tails):
+        # Tails one hop nearer to the source than their head, else sentinel n.
+        candidate = np.where(dist[:, tails] == dist[:, heads] - 1, tails, n)
+        pred[:] = np.minimum.reduceat(candidate, starts[:-1], axis=1)
     pred[np.diag_indices(n)] = np.arange(n)
     return dist, pred
 

@@ -187,6 +187,20 @@ class TestSwitchingSchedule:
         vals = [adiabatic.switching_schedule(float(x)) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    def test_array_form_matches_scalar_form(self):
+        # One cumulative quadrature over the sorted folded points; shuffled
+        # input order must not matter, and the near-duplicate folded points
+        # (x and 1 - x' a rounding apart) must not trip quad.
+        xs = np.linspace(-0.05, 1.05, 2001)
+        scalar = np.array([adiabatic.switching_schedule(float(x)) for x in xs])
+        perm = np.random.default_rng(0).permutation(len(xs))
+        vals = np.empty(len(xs))
+        vals[perm] = adiabatic.switching_schedule(xs[perm])
+        assert np.max(np.abs(vals - scalar)) <= 1e-14
+        assert np.all(np.diff(vals) >= 0.0)
+        assert vals[0] == 0.0 and vals[-1] == 1.0
+        assert isinstance(adiabatic.switching_schedule(0.3), float)
+
     def test_derivative_matches_finite_differences(self):
         h = 1e-5
         for x in np.linspace(0.05, 0.95, 19):

@@ -178,6 +178,42 @@ class TestConductanceExact:
         )
         assert report.cuts_examined == 2 ** (n - 1) - 1
 
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_matches_cut_profile_over_every_mask(self, n):
+        rng = np.random.default_rng(100 + n)
+        g = random_connected_graph(rng, n)
+        psi = rng.uniform(0.05, 1.0, n)
+        report = bounds.conductance_exact(g, psi)
+        # Every {S, complement} pair once, vertex n - 1 in the complement.
+        cuts = [
+            bounds.cut_profile(g, psi, [v for v in range(n - 1) if mask >> v & 1])
+            for mask in range(1, 2 ** (n - 1))
+        ]
+        best = min(cuts, key=lambda cut: cut.ratio)
+        smaller = best.subset if best.mass_inside <= best.mass_outside else tuple(
+            v for v in range(n) if v not in best.subset
+        )
+        assert report.phi == pytest.approx(best.ratio, rel=1e-12)
+        assert report.minimizer.subset == smaller
+        assert report.cuts_examined == len(cuts)
+
+    def test_two_vertices(self):
+        g = graphcore.build_path(2)
+        report = bounds.conductance_exact(g, [0.6, 0.8])
+        assert report.phi == pytest.approx(0.48 / 0.36, rel=1e-15)
+        assert report.minimizer.subset == (0,)
+        assert report.cuts_examined == 1
+
+    def test_three_vertices(self):
+        # Path 0 - 1 - 2, masses 0.09, 0.25, 0.16: {0} has ratio 0.15 / 0.09,
+        # {1} 0.35 / 0.25, and {0, 1} 0.2 / 0.16, reported as its lighter
+        # side {2}.
+        g = graphcore.build_path(3)
+        report = bounds.conductance_exact(g, [0.3, 0.5, 0.4])
+        assert report.phi == pytest.approx(0.2 / 0.16, rel=1e-15)
+        assert report.minimizer.subset == (2,)
+        assert report.cuts_examined == 3
+
     def test_exact_tie_reports_smallest_bitmask(self):
         # Uniform psi on the 4-cycle: {0,1}, {1,2} and their mirrors tie at 1.
         g = graphcore.Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -185,11 +221,35 @@ class TestConductanceExact:
         assert report.phi == 1.0
         assert report.minimizer.subset == (0, 1)
 
-    def test_peak_memory_below_four_cut_arrays(self):
-        # Doubling keeps two 2^(n-1) arrays and a half-length scratch block
-        # (2.5 arrays); two more full-length temporaries would exceed 4.
-        n = 20
-        rng = np.random.default_rng(20)
+    @pytest.mark.parametrize("n", [6, 17, 20])
+    def test_cycle_tie_reports_smallest_bitmask(self, n):
+        # Uniform psi on the n-cycle: every arc of n // 2 vertices ties, and
+        # from n = 17 on the ties span more than one block of the sweep.
+        g = graphcore.Graph(n, [(v, (v + 1) % n) for v in range(n)])
+        report = bounds.conductance_exact(g, np.full(n, 0.5))
+        assert report.phi == 2.0 / (n // 2)
+        assert report.minimizer.subset == tuple(range(n // 2))
+
+    def test_complete_graph_tie_reports_smallest_bitmask(self):
+        g = graphcore.Graph(6, list(itertools.combinations(range(6), 2)))
+        report = bounds.conductance_exact(g, np.full(6, 0.5))
+        assert report.phi == 3.0
+        assert report.minimizer.subset == (0, 1, 2)
+
+    @pytest.mark.parametrize("l", [3, 4])
+    def test_caterpillar_phi_is_its_minimizer_ratio(self, l):
+        g, _, _ = graphcore.build_caterpillar(l)
+        psi = graphcore.caterpillar_ground_state(l)
+        psi = psi / np.linalg.norm(psi)
+        report = bounds.conductance_exact(g, psi)
+        ratio = bounds.cut_profile(g, psi, report.minimizer.subset).ratio
+        assert abs(report.phi - ratio) <= 1e-12 * ratio
+
+    def test_peak_memory_does_not_grow_with_cut_count(self):
+        # The cuts are swept in fixed blocks: at n = 22 one float array over
+        # all 2^21 cuts would alone take 16 MiB.
+        n = 22
+        rng = np.random.default_rng(22)
         g = random_connected_graph(rng, n)
         psi = rng.uniform(0.05, 1.0, n)
         tracemalloc.start()
@@ -198,7 +258,7 @@ class TestConductanceExact:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 8 * 2 ** (n - 1)
+        assert peak < 8 * 2**20
 
     def test_size_guard(self):
         g = graphcore.build_path(25)
@@ -349,25 +409,32 @@ def relabelled(rng, g, w):
     return graphcore.Graph(g.n, edges), graphcore.Potential(values)
 
 
+def bfs_tree(g, x):
+    """Hop distances from x by a deque BFS, and the predecessors
+    pred[v] = min{u ~ v : dist[u] = dist[v] - 1}, pred[x] = x."""
+    dist = {x: 0}
+    queue = collections.deque([x])
+    while queue:
+        v = queue.popleft()
+        for u in g.neighbors(v):
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    pred = {v: min((u for u in g.neighbors(v) if dist[u] == dist[v] - 1), default=v) for v in dist}
+    return dist, pred
+
+
 def bfs_paths(g):
     """Canonical paths for every ordered pair, built without gapline's BFS:
-    a deque BFS from each source x, the path to y > x traced back through
-    pred[v] = min{u ~ v : dist[u] = dist[v] - 1}, and (y, x) its reverse."""
+    the path from x to y > x traced back through the predecessors of
+    bfs_tree(g, x), and (y, x) its reverse."""
     paths = {}
     for x in range(g.n):
-        dist = {x: 0}
-        queue = collections.deque([x])
-        while queue:
-            v = queue.popleft()
-            for u in g.neighbors(v):
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
+        _, pred = bfs_tree(g, x)
         for y in range(x + 1, g.n):
             back = [y]
             while back[-1] != x:
-                v = back[-1]
-                back.append(min(u for u in g.neighbors(v) if dist[u] == dist[v] - 1))
+                back.append(pred[back[-1]])
             paths[(x, y)] = tuple(reversed(back))
             paths[(y, x)] = tuple(back)
     return paths
@@ -390,6 +457,36 @@ def reference_bound(g, spec):
 
 def spectrum_with(psi):
     return spectral.Spectrum(energy=0.0, gap=1.0, psi=np.asarray(psi), residual=0.0, tol=1e-10)
+
+
+class TestBfsPredecessors:
+    """_bfs_predecessors against a plain deque BFS per source."""
+
+    def check(self, g):
+        dist, pred = bounds._bfs_predecessors(g)
+        for x in range(g.n):
+            ref_dist, ref_pred = bfs_tree(g, x)
+            assert dist[x].tolist() == [ref_dist[v] for v in range(g.n)]
+            assert pred[x].tolist() == [ref_pred[v] for v in range(g.n)]
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 30), st.floats(0.0, 0.8), st.integers(0, 10_000))
+    def test_random_graphs(self, n, density, seed):
+        self.check(random_connected_graph(np.random.default_rng(seed), n, density))
+
+    @pytest.mark.parametrize("n", [4, 5, 9])
+    def test_cycles_break_ties_by_lowest_index(self, n):
+        self.check(graphcore.Graph(n, [(v, (v + 1) % n) for v in range(n)]))
+
+    def test_complete_bipartite(self):
+        # Every vertex of one side reaches the other side's vertices through
+        # all of them; the lowest index must win.
+        self.check(graphcore.Graph(7, [(a, b) for a in range(3) for b in range(3, 7)]))
+
+    @pytest.mark.parametrize("l", [2, 6])
+    def test_relabelled_caterpillars(self, l):
+        g, _ = relabelled(np.random.default_rng(l), *graphcore.build_caterpillar(l)[:2])
+        self.check(g)
 
 
 class TestTreePoincare:
