@@ -197,8 +197,7 @@ def switching_schedule(x: float | np.ndarray) -> float | np.ndarray:
     # most (b - a)^3 max|g''| / 24 < 4 (b - a)^3: below 1e-9, nothing.
     pieces = [
         quad(switching_derivative, a, b, epsabs=1e-13, epsrel=1e-12)[0]
-        if b - a > 1e-9
-        else (b - a) * switching_derivative((a + b) / 2.0)
+        if b - a > 1e-9 else (b - a) * switching_derivative((a + b) / 2.0)
         for a, b in zip(np.r_[0.0, points[:-1]], points)
     ]
     s = np.cumsum(pieces)[position]

@@ -127,7 +127,7 @@ def cut_profile(g: Graph, psi, subset) -> CutReport:
     flow = sum(psi[x] * psi[y] for x, y in g.edges if (x in s) != (y in s))
     psi2 = psi**2
     inside = float(sum(psi2[v] for v in s))
-    outside = float(psi2.sum() - inside)
+    outside = float(sum(psi2[v] for v in range(g.n) if v not in s))
     return CutReport(
         subset=tuple(sorted(s)),
         flow=float(flow),
@@ -144,17 +144,18 @@ def conductance_exact(g: Graph, psi) -> ConductanceReport:
     complement), as bitmasks m = m2 2^h1 + m1 over vertices 0..n-2, meet in
     the middle: m1 holds the low h1 = ceil((n-1)/2) bits and m2 the rest, so
     the cuts form a 2^h2 x 2^h1 table in mask order.  With B_i the bit
-    matrix of half i, w_xy = psi_x psi_y and c_v the sum of w at v,
+    matrix of half i, B_i' = 1 - B_i and w_xy = psi_x psi_y,
 
         mass[m] = M2[m2] + M1[m1],  M_i = B_i psi^2,
-        flow[m] = F2[m2] + F1[m1] - 2 (B2 W21 B1^T)[m2, m1],
-        F_i = B_i c - 2 (w summed over the edges inside the half's subset),
+        flow[m] = F2[m2] + F1[m1] + (B2 W21 B1'^T + B2' W21 B1^T)[m2, m1],
 
-    with W21 the edges between the halves.  Blocks of about 2^15 cuts get
-    their flows from one matmul [-2 B2 W21 | F2 | 1] @ [B1^T ; 1 ; F1] and
-    are minimized at once: O(2^n n) flops in O(2^(n/2) n) memory.  Ties are
-    broken by smallest subset bitmask; the minimizer is reported with its
-    smaller-mass side.
+    with W21 the edges between the halves and F_i the flow out of the half's
+    subset within the half and to vertex n-1; the complement's mass is summed
+    alike.  All terms are positive, so every ratio keeps its relative accuracy
+    however small.  Blocks of up to 2^15 cuts take their flows from a matmul
+    [B2 W21 | B2' W21 | F2 | 1] @ [B1'^T ; B1^T ; 1 ; F1], O(2^n n) flops in
+    O(2^(n/2) n) memory.  Ties go to the smallest bitmask; the minimizer is
+    reported with its smaller-mass side.
     """
     psi = np.asarray(psi, dtype=float)
     n = g.n
@@ -166,38 +167,34 @@ def conductance_exact(g: Graph, psi) -> ConductanceReport:
             f"exhaustive conductance is limited to n <= {CUT_ENUMERATION_LIMIT} "
             f"(got n = {n}); evaluate chosen cuts with cut_profile instead"
         )
-    if np.any(psi <= 0):
-        raise DomainError("conductance requires strictly positive amplitudes")
     psi2 = psi**2
-    total = float(psi2.sum())
+    if np.any(psi <= 0) or np.any(psi2 == 0):
+        raise DomainError("conductance requires amplitudes positive even when squared")
     weights = np.zeros((n, n))
     x, y = g.edge_index
     weights[x, y] = weights[y, x] = psi[x] * psi[y]
-    degree_flow = weights.sum(axis=1)
     h1, h2 = n // 2, (n - 1) // 2
     low, high = slice(0, h1), slice(h1, n - 1)
     b1 = ((np.arange(1 << h1)[:, np.newaxis] >> np.arange(h1)) & 1).astype(float)
     b2 = b1[: 1 << h2, :h2]
-    left, right = np.ones((len(b2), h1 + 2)), np.ones((h1 + 2, len(b1)))
-    np.matmul(b2, -2.0 * weights[high, low], out=left[:, :h1])
-    right[:h1] = b1.T
-    for b, part, half_flow in ((b2, high, left[:, h1]), (b1, low, right[h1 + 1])):
-        half_flow[:] = b @ degree_flow[part] - ((b @ weights[part, part]) * b).sum(axis=1)
-    # min(mass, total - mass) = total/2 - |mass - total/2|; a rank-2 matmul
-    # broadcasts the half masses faster than an outer sum.
-    mass_left, mass_right = np.ones((len(b2), 2)), np.ones((2, len(b1)))
-    mass_left[:, 0] = b2 @ psi2[high] - total / 2.0
-    mass_right[1] = b1 @ psi2[low]
-    # Both counts are powers of 2, so the blocks are equal.  Their buffers are
-    # reused: a fresh block-sized temporary is a new mmap, faulted in anew.
+    left, right = np.ones((len(b2), 2 * h1 + 2)), np.ones((2 * h1 + 2, len(b1)))
+    left[:, :h1], left[:, h1:-2] = b2 @ weights[high, low], (1 - b2) @ weights[high, low]
+    right[:h1], right[h1:-2] = 1 - b1.T, b1.T
+    for b, part, half_flow in ((b2, high, left[:, -2]), (b1, low, right[-1])):
+        half_flow[:] = ((b @ weights[part, part]) * (1 - b)).sum(axis=1) + b @ weights[part, -1]
+    # [M2 | 1] @ [1 ; M1] broadcasts the masses, the complement's likewise.
+    mass_left, mass_right = np.ones((2, len(b2), 2)), np.ones((2, 2, len(b1)))
+    mass_left[:, :, 0] = b2 @ psi2[high], (1 - b2) @ psi2[high] + psi2[-1]
+    mass_right[:, 1] = b1 @ psi2[low], (1 - b1) @ psi2[low]
+    # Equal blocks (powers of 2) in buffers made once: fresh ones are new mmaps.
     cols = len(b1)
     rows = min(len(b2), _CUT_BLOCK // cols)
-    flow, denom = np.empty((rows, cols)), np.empty((rows, cols))
+    flow, masses = np.empty((rows, cols)), np.empty((2, rows, cols))
     best, best_mask = math.inf, 0
     for start in range(0, len(b2), rows):
         np.matmul(left[start : start + rows], right, out=flow)
-        np.matmul(mass_left[start : start + rows], mass_right, out=denom)
-        np.subtract(total / 2.0, np.abs(denom, out=denom), out=denom)
+        np.matmul(mass_left[:, start : start + rows], mass_right, out=masses)
+        denom = np.minimum(masses[0], masses[1], out=masses[0])
         if start == 0:
             flow[0, 0], denom[0, 0] = math.inf, 1.0  # the empty cut, mask 0
         ratio = np.divide(flow, denom, out=flow)
@@ -205,7 +202,7 @@ def conductance_exact(g: Graph, psi) -> ConductanceReport:
         if ratio.flat[i] < best:
             best, best_mask = float(ratio.flat[i]), start * cols + i
     subset = [v for v in range(n) if (best_mask >> v) & 1]
-    if sum(psi2[v] for v in subset) > total / 2:
+    if 2.0 * sum(psi2[v] for v in subset) > psi2.sum():
         subset = [v for v in range(n) if not (best_mask >> v) & 1]
     report = cut_profile(g, psi, subset)
     return ConductanceReport(phi=best, minimizer=report, cuts_examined=(1 << (n - 1)) - 1)
@@ -290,17 +287,22 @@ def _bfs_predecessors(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     x, y = g.edge_index
     # Directed edges tail -> head, sorted by (head, tail): the in-edges of v
     # form one run, tails ascending, which is row v of the adjacency in CSR.
-    heads, tails = np.r_[y, x], np.r_[x, y]
-    order = np.lexsort((tails, heads))
-    heads, tails = heads[order], tails[order]
+    order = np.lexsort((np.r_[x, y], np.r_[y, x]))
+    heads, tails = np.r_[y, x][order], np.r_[x, y][order]
     starts = np.r_[0, np.cumsum(np.bincount(heads, minlength=n))]
     adjacency = csr_array((np.ones(len(tails)), tails, starts), shape=(n, n))
     dist = shortest_path(adjacency, directed=False, unweighted=True).astype(np.intp)
     pred = np.empty((n, n), dtype=np.intp)
-    if len(tails):
-        # Tails one hop nearer to the source than their head, else sentinel n.
-        candidate = np.where(dist[:, tails] == dist[:, heads] - 1, tails, n)
-        pred[:] = np.minimum.reduceat(candidate, starts[:-1], axis=1)
+    # dist is symmetric: row t of dist[tails] is t's distance from each source.
+    # Per group of heads with about 2^16 in-edge entries, each in-edge whose
+    # tail is one hop nearer offers that tail, else n; near is dist in the
+    # narrowest dtype that holds n, which keeps the temporaries small.
+    near = dist.astype(np.min_scalar_type(n))
+    marks = np.unique(np.digitize(np.arange(0, len(tails), 1 + (1 << 16) // n), starts) - 1)
+    for a, b in zip(marks, np.r_[marks[1:], n]):
+        e = slice(starts[a], starts[b])
+        candidate = np.where(near[tails[e]] + 1 == near[heads[e]], tails[e, np.newaxis], n)
+        pred[:, a:b] = np.minimum.reduceat(candidate, starts[a:b] - starts[a], axis=0).T
     pred[np.diag_indices(n)] = np.arange(n)
     return dist, pred
 

@@ -22,8 +22,7 @@ def random_tree(rng: np.random.Generator, n: int) -> graphcore.Graph:
 def random_connected_graph(
     rng: np.random.Generator, n: int, extra_edge_prob: float = 0.3
 ) -> graphcore.Graph:
-    """Random spanning tree (drawn as in random_tree) plus independent extra
-    edges."""
+    """random_tree's spanning tree, drawn inline, plus independent extra edges."""
     edges = {(int(rng.integers(0, i)), i) for i in range(1, n)}
     for x in range(n):
         for y in range(x + 1, n):
