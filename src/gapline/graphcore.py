@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import json
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +85,7 @@ class Graph:
         return index
 
     def is_connected(self) -> bool:
-        return len(_component_of(self._adj, 0, range(self._n))) == self._n
+        return len(connected_components(self, range(self._n))) == 1
 
     def __eq__(self, other) -> bool:
         return (
@@ -102,28 +101,19 @@ class Graph:
         return f"Graph(n={self._n}, edges={len(self._edges)})"
 
 
-def _component_of(adj, start, allowed) -> set[int]:
-    """Vertices reachable from `start` walking only through `allowed`."""
-    allowed = set(allowed)
-    if start not in allowed:
-        return set()
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if u in allowed and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen
-
-
 def connected_components(g: Graph, vertices) -> list[set[int]]:
     """Connected components of the subgraph induced on `vertices`."""
     remaining = set(vertices)
     parts = []
     while remaining:
-        comp = _component_of(g._adj, next(iter(remaining)), remaining)
+        start = next(iter(remaining))
+        comp = {start}
+        queue = [start]
+        for v in queue:  # breadth first: the list grows as it is walked
+            for u in g._adj[v]:
+                if u in remaining and u not in comp:
+                    comp.add(u)
+                    queue.append(u)
         parts.append(comp)
         remaining -= comp
     return parts
@@ -131,10 +121,7 @@ def connected_components(g: Graph, vertices) -> list[set[int]]:
 
 def is_connected_subset(g: Graph, vertices) -> bool:
     """True iff the induced subgraph on `vertices` is connected (empty counts)."""
-    vertices = set(vertices)
-    if len(vertices) <= 1:
-        return True
-    return len(_component_of(g._adj, next(iter(vertices)), vertices)) == len(vertices)
+    return len(connected_components(g, vertices)) <= 1
 
 
 @dataclass(frozen=True)
@@ -178,83 +165,57 @@ def build_path(l: int) -> Graph:
     return Graph(l, [(i, i + 1) for i in range(l - 1)])
 
 
-def caterpillar_layout(l: int) -> dict:
-    """Vertex index layout of the 6l-1 caterpillar.
+def caterpillar_anchors(l: int) -> list[int]:
+    """Spine vertex each vertex of the 6l-1 caterpillar hangs from, in vertex order.
 
-    Spine runs left to right at indices 0..2l: B_j left at j, the central
-    minimum B_l at l, B_j right at 2l-j.  Legs follow, four per interior
-    spine position (left/right side, two slots each), then the two central
-    legs.  Returns index lists for the spine, the legs keyed by (side, j),
-    and the left/right/center vertex partition.
+    The spine 0..2l anchors itself; its depth j = min(a, 2l - a) runs from 0
+    at the ends to l at the central minimum B_l.  Legs follow, four per
+    depth j = 1..l-1 (anchors j, j, 2l-j, 2l-j), then the two central legs
+    (anchor l).  An anchor below l is on the left side, above l on the right.
     """
     if l < 2:
         raise InvalidSizeError(f"caterpillar needs l >= 2, got {l}")
-    spine = list(range(2 * l + 1))
-    legs: dict[tuple[str, int], list[int]] = {}
-    nxt = 2 * l + 1
-    for j in range(1, l):
-        legs[("left", j)] = [nxt, nxt + 1]
-        legs[("right", j)] = [nxt + 2, nxt + 3]
-        nxt += 4
-    legs[("center", l)] = [nxt, nxt + 1]
-    left = set(range(l)) | {v for (side, _), vs in legs.items() if side == "left" for v in vs}
-    right = set(range(l + 1, 2 * l + 1)) | {
-        v for (side, _), vs in legs.items() if side == "right" for v in vs
-    }
-    center = {l} | set(legs[("center", l)])
-    return {"l": l, "spine": spine, "legs": legs, "left": left, "right": right, "center": center}
+    legs = [a for j in range(1, l) for a in (j, j, 2 * l - j, 2 * l - j)]
+    return list(range(2 * l + 1)) + legs + [l, l]
 
 
-def _caterpillar_leg_potential(l: int, j: int) -> float:
-    if j == 1:
-        return 1.0 / (11.0 / 12.0 - 1.0 / (8 * l)) - 1.0
+def _leg_ratio(l: int, j: int) -> float:
+    """Amplitude a_j of a leg at depth j relative to its spine vertex."""
     if j == l:
-        return 7.0
-    return 1.0 / (2.0 / 3.0 - j / (8.0 * l)) - 1.0
+        return 0.125
+    if j == 1:
+        return 11.0 / 12.0 - 1.0 / (8 * l)
+    return 2.0 / 3.0 - j / (8.0 * l)
 
 
 def build_caterpillar(l: int) -> tuple[Graph, Potential, dict[str, int]]:
     """Caterpillar graph on 6l-1 vertices with its single-basin potential.
 
     The spine potential decreases monotonically toward the central vertex
-    B_l, and each leg's potential exceeds that of the spine vertex it hangs
-    from, so the unique local minimum is B_l.  Which spine vertices carry
-    legs (all but the two endpoints; two legs per side per position, two at
-    the center) is fixed by requiring that the closed-form ground state
-    from `caterpillar_ground_state` is an exact null vector of the
-    Hamiltonian; the residual test enforces this.
+    B_l, and each leg's potential 1/a_j - 1 exceeds that of the spine vertex
+    it hangs from, so the unique local minimum is B_l.  That leg potential
+    makes H psi vanish on every leg of `caterpillar_ground_state`; which
+    spine vertices carry legs (all but the two endpoints; two legs per side
+    per position, two at the center) is fixed by requiring that it vanish on
+    the spine too, which the residual test enforces.  Labels are B{j}{side}
+    on the spine and C{j}{side}{T|B} on legs, side L, R, or empty at B_l.
     """
-    layout = caterpillar_layout(l)
+    anchors = caterpillar_anchors(l)
     edges = [(p, p + 1) for p in range(2 * l)]
-    for (side, j), leg_vertices in layout["legs"].items():
-        spine_idx = j if side == "left" else (l if side == "center" else 2 * l - j)
-        for v in leg_vertices:
-            edges.append((spine_idx, v))
-    g = Graph(6 * l - 1, edges)
+    edges += [(a, v) for v, a in enumerate(anchors) if a != v]
+    g = Graph(len(anchors), edges)
 
-    w = np.zeros(6 * l - 1)
-    for p in layout["spine"]:
-        j = p if p <= l else 2 * l - p
-        w[p] = 0.0 if j == 0 else -0.5 - j / (4.0 * l)
-    for (side, j), leg_vertices in layout["legs"].items():
-        jj = l if side == "center" else j
-        for v in leg_vertices:
-            w[v] = _caterpillar_leg_potential(l, jj)
-
+    w = np.zeros(len(anchors))
     labels: dict[str, int] = {}
-    for p in layout["spine"]:
-        if p < l:
-            labels[f"B{p}L"] = p
-        elif p == l:
-            labels[f"B{l}"] = p
+    for v, a in enumerate(anchors):
+        j = min(a, 2 * l - a)
+        side = "L" if a < l else "R" if a > l else ""
+        if a == v:
+            w[v] = 0.0 if j == 0 else -0.5 - j / (4.0 * l)
+            labels[f"B{j}{side}"] = v
         else:
-            labels[f"B{2 * l - p}R"] = p
-    for (side, j), leg_vertices in layout["legs"].items():
-        if side == "center":
-            labels[f"C{l}T"], labels[f"C{l}B"] = leg_vertices
-        else:
-            code = "L" if side == "left" else "R"
-            labels[f"C{j}{code}T"], labels[f"C{j}{code}B"] = leg_vertices
+            w[v] = 1.0 / _leg_ratio(l, j) - 1.0
+            labels[f"C{j}{side}{'B' if anchors[v - 1] == a else 'T'}"] = v
     return g, Potential(w), labels
 
 
@@ -264,30 +225,18 @@ def caterpillar_ground_state(l: int) -> np.ndarray:
     Two mirror-symmetric lobes peaking at the spine endpoints, with
     amplitude (2/3)^l at the central minimum.
     """
-    layout = caterpillar_layout(l)
-    psi = np.zeros(6 * l - 1)
-    for p in layout["spine"]:
-        j = p if p <= l else 2 * l - p
-        psi[p] = 2.0 / 3.0 if j == 0 else (2.0 / 3.0) ** j
-    for (side, j), leg_vertices in layout["legs"].items():
-        if side == "center":
-            amp = 0.125 * (2.0 / 3.0) ** l
-        elif j == 1:
-            amp = (2.0 / 3.0) * (11.0 / 12.0 - 1.0 / (8 * l))
-        else:
-            amp = (2.0 / 3.0 - j / (8.0 * l)) * (2.0 / 3.0) ** j
-        for v in leg_vertices:
-            psi[v] = amp
+    anchors = caterpillar_anchors(l)
+    psi = np.zeros(len(anchors))
+    for v, a in enumerate(anchors):
+        j = min(a, 2 * l - a)
+        psi[v] = (2.0 / 3.0) ** max(j, 1) if a == v else _leg_ratio(l, j) * psi[a]
     return psi
 
 
 def find_local_minima(g: Graph, w: Potential) -> set[int]:
     """Vertices whose potential is <= that of every neighbor."""
     check_length(g, len(w), "potential")
-    vals = w.values
-    return {
-        x for x in range(g.n) if all(vals[x] <= vals[y] for y in g.neighbors(x))
-    }
+    return local_maxima(g, -w.values)
 
 
 def is_single_basin(g: Graph, w: Potential) -> bool:

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, DomainError, SolverError
-from .graphcore import Graph, Potential, caterpillar_layout, check_length
+from .graphcore import Graph, Potential, caterpillar_anchors, check_length
 
 DEFAULT_TOL = 1e-10
 
@@ -85,8 +85,8 @@ def solve_ground_and_gap(h: Hamiltonian, tol: float = DEFAULT_TOL) -> Spectrum:
     """
     if h.n < 2:
         raise DomainError("need at least 2 vertices to define a gap")
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    if not tol > 0:
+        raise DomainError(f"tolerance must be positive, got {tol!r}")
     scale = max(1.0, float(np.linalg.norm(h.matrix, np.inf)))
     res = math.inf
     # Inverse iteration on the partial range cannot split an exactly
@@ -156,17 +156,12 @@ def two_lobe_trial_state(l: int, psi) -> np.ndarray:
     the gap by 2 (2/3)^(2l-1).
     """
     psi = np.asarray(psi, dtype=float)
-    layout = caterpillar_layout(l)
-    if len(psi) != 6 * l - 1:
+    anchor = np.array(caterpillar_anchors(l))
+    if len(psi) != len(anchor):
         raise DimensionError(
-            f"vector has length {len(psi)}, caterpillar l={l} has {6 * l - 1} vertices"
+            f"vector has length {len(psi)}, caterpillar l={l} has {len(anchor)} vertices"
         )
-    phi = np.zeros_like(psi)
-    for v in layout["left"]:
-        phi[v] = psi[v]
-    for v in layout["right"]:
-        phi[v] = -psi[v]
-    return phi
+    return np.where(anchor < l, psi, np.where(anchor > l, -psi, 0.0))
 
 
 def discrete_curvature(g: Graph, psi) -> np.ndarray:

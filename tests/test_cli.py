@@ -64,6 +64,16 @@ class TestGap:
         code, _, err = run(capsys, "gap", "/does/not/exist.json")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["gap", "bounds", "sweep"])
+    def test_nan_tolerance_refused(self, tmp_path, capsys, command):
+        # NaN fails `tol <= 0` too, so only `not tol > 0` refuses it.
+        out = tmp_path / "p.json"
+        run(capsys, "gen", "path", "--l", "4", "-o", str(out))
+        code, stdout, err = run(capsys, command, str(out), "--tol", "nan")
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and "tolerance" in err
+
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 2, "edges": [[0, 0]]}')

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapline import graphcore
+from gapline import graphcore, spectral
 from gapline.errors import DimensionError, DomainError, InvalidSizeError, ParseError
 
 
@@ -103,11 +104,52 @@ class TestBuildCaterpillar:
             assert w.values[labels[f"{name}LT"]] == w.values[labels[f"{name}RT"]]
             assert psi[labels[f"{name}LB"]] == psi[labels[f"{name}RB"]]
 
+    def test_l3_anchor_table(self):
+        # spine 0..6, then legs at depth 1 (left, right), depth 2, centre
+        assert graphcore.caterpillar_anchors(3) == [
+            0, 1, 2, 3, 4, 5, 6, 1, 1, 5, 5, 2, 2, 4, 4, 3, 3,
+        ]
+
     def test_small_l_rejected(self):
         with pytest.raises(InvalidSizeError):
             graphcore.build_caterpillar(1)
         with pytest.raises(InvalidSizeError):
             graphcore.caterpillar_ground_state(1)
+        with pytest.raises(InvalidSizeError):
+            graphcore.caterpillar_anchors(1)
+
+
+# sha256 of write_graph(*build_caterpillar(l)), and of the little-endian
+# float64 bytes of caterpillar_ground_state(l) and of its two-lobe trial
+# state: pins vertex order, labels and every bit of W, psi and the trial state.
+CATERPILLAR_DIGESTS = {
+    2: ("fb76957767d1673e0f84dd24aec7178714333a266ba9306ef099cc9b12f565f2",
+        "8bb04ba8915808257e0cb3c61fb02dc09225e132a378589c06de1b4b1455f488",
+        "ecc4c114c3eeb171b69075ef769da7c0c52f9ae2eed8aa393ef9f2a8f9e4ca4d"),
+    3: ("6a3e509e4fb711325013f8d009b66c0b0a4f99939889bc4b02ec0936b55fc9e2",
+        "a005565b0c38def4ac7be1c38b5da62e96511e89bb218b10b07ae0648ab4c316",
+        "42bb9ca604b5dc696c5ccc9d52fcb69bd9e83f716f48a3d487826ff745941904"),
+    4: ("4bef0b3c9e6b2430552c40a7ed552ef269db1bdc0a0d0294a05a39e0144baa63",
+        "2ff4e8f5819a2433d096e852dab08f4472ba3cca41fc97c6d61d4b1e7bcc0221",
+        "7e184da9db20b908acd048c4a6127334fccaab306cb1e6168a7c45e063eeb7ac"),
+    7: ("ae46485f4840599753bc3d732940e41ace2a88a3d53673be1dcdbb10b3a61964",
+        "dbb9fdf3fba16500f6903a9e8af433bb9bdb99a347b75163482874a2203ccf64",
+        "98da7809d49c0fbfb6d54a785d91355f0c2541ce53da973b1f56fc97ee238293"),
+    41: ("b5e41803a52d01bcbb2461aa43280e3247641c245f88563abfbd6fde4ebdd8a8",
+         "c94c0b1ffcb7cfb932d723daffd3a749e0a621503d97cca03dd6f31adae602d0",
+         "4e11956f525122eebef95b5cbc5327695e319440a525ea7855e4fb97cec5bb7c"),
+}
+
+
+@pytest.mark.parametrize("l", sorted(CATERPILLAR_DIGESTS))
+def test_caterpillar_bytes_pinned(l):
+    psi = graphcore.caterpillar_ground_state(l)
+    blobs = (
+        graphcore.write_graph(*graphcore.build_caterpillar(l)).encode(),
+        psi.tobytes(),
+        spectral.two_lobe_trial_state(l, psi).tobytes(),
+    )
+    assert tuple(hashlib.sha256(b).hexdigest() for b in blobs) == CATERPILLAR_DIGESTS[l]
 
 
 class TestCaterpillarGroundState:
@@ -141,6 +183,51 @@ class TestFindLocalMinima:
         g = graphcore.build_path(3)
         with pytest.raises(DimensionError):
             graphcore.find_local_minima(g, graphcore.Potential([0, 0]))
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 13), st.integers(0, 10_000))
+    def test_matches_neighbour_loop(self, n, seed):
+        rng = np.random.default_rng(seed)
+        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+        g = graphcore.Graph(n, [e for e in pairs if rng.random() < 0.4])
+        # Few integer levels force ties between neighbours.
+        w = graphcore.Potential(rng.integers(-2, 3, n))
+        vals = w.values
+        expected = {
+            x for x in range(g.n) if all(vals[x] <= vals[y] for y in g.neighbors(x))
+        }
+        assert graphcore.find_local_minima(g, w) == expected
+
+
+class TestConnectedComponents:
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 14), st.integers(0, 10_000), st.sampled_from([0.0, 0.2, 0.5]))
+    def test_matches_scipy(self, n, seed, subset_p):
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import connected_components
+
+        rng = np.random.default_rng(seed)
+        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+        g = graphcore.Graph(n, [e for e in pairs if rng.random() < 0.3])
+        # subset_p 0 keeps every vertex; the empty set and single vertices
+        # come from small n and the random drops.
+        vertices = [x for x in range(n) if rng.random() >= subset_p]
+        parts = graphcore.connected_components(g, vertices)
+        index = {x: i for i, x in enumerate(vertices)}
+        sub = [(index[x], index[y]) for x, y in g.edges if x in index and y in index]
+        rows, cols = zip(*sub) if sub else ((), ())
+        adj = csr_array((np.ones(len(sub)), (rows, cols)), shape=(len(vertices),) * 2)
+        count, label = connected_components(adj, directed=False)
+        expected = {frozenset(x for x in vertices if label[index[x]] == c) for c in range(count)}
+        assert {frozenset(p) for p in parts} == expected
+        assert len(parts) == count
+        assert graphcore.is_connected_subset(g, vertices) == (count <= 1)
+
+    @pytest.mark.parametrize("vertices, expected", [([], []), ([2], [{2}])])
+    def test_empty_and_single_vertex(self, vertices, expected):
+        g = graphcore.build_path(4)
+        assert graphcore.connected_components(g, vertices) == expected
+        assert graphcore.is_connected_subset(g, vertices)
 
 
 class TestIsSingleBasin:

@@ -135,6 +135,8 @@ class TestSolveGroundAndGap:
         h = spectral.assemble(graphcore.build_path(3), flat(3))
         with pytest.raises(DomainError):
             spectral.solve_ground_and_gap(h, tol=0.0)
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            spectral.solve_ground_and_gap(h, tol=math.nan)
         one = spectral.Hamiltonian(matrix=np.zeros((1, 1)))
         with pytest.raises(DomainError):
             spectral.solve_ground_and_gap(one)
