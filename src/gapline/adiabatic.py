@@ -8,6 +8,7 @@ applies pointwise; close to s = 1 a Gershgorin/Weyl argument takes over.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,6 +59,8 @@ def bulk_gap_floor(g: Graph, w: Potential, s: float) -> float:
 
 def endgame_onset(g: Graph) -> float:
     """Start of the endgame window, 1 - 1/(8 d_G)."""
+    if g.max_degree < 1:
+        raise PreconditionError("endgame window requires a graph with edges")
     return 1.0 - 1.0 / (8.0 * g.max_degree)
 
 
@@ -106,11 +109,11 @@ def gap_sweep(g: Graph, w: Potential, grid, tol: float = DEFAULT_TOL) -> list[Sc
     return samples
 
 
-def default_sweep_grid(g: Graph, geometric_points: int = 16) -> list[float]:
-    """101 uniform points on [0, 0.99], a geometric tail into the endgame,
-    and s = 1 itself."""
+def default_sweep_grid() -> list[float]:
+    """101 uniform points on [0, 0.99], a 16-point geometric tail into the
+    endgame, and s = 1 itself."""
     grid = list(np.linspace(0.0, 0.99, 101))
-    grid.extend(1.0 - 0.01 * 0.5**k for k in range(1, geometric_points + 1))
+    grid.extend(1.0 - 0.01 * 0.5**k for k in range(1, 17))
     grid.append(1.0)
     return grid
 
@@ -131,12 +134,9 @@ def endgame_bound(g: Graph, w: Potential) -> EndgameBound:
     value exceeds the lowest by exactly 1, and the factor is reported.
     """
     _, delta = rescale_to_unit_final_gap(w)
-    d = g.max_degree
-    if d < 1:
-        raise PreconditionError("endgame bound requires a graph with edges")
     return EndgameBound(
         s_star=endgame_onset(g),
-        bound=0.5 - 1.0 / (8.0 * d),
+        bound=0.5 - 1.0 / (8.0 * g.max_degree),
         scale=delta,
     )
 
@@ -156,20 +156,15 @@ def _bump(y: float) -> float:
     return math.exp(-1.0 / (y * (1.0 - y)))
 
 
-_BETA: float | None = None
-
-
+@functools.cache
 def _beta() -> float:
     """Normalization making the bump integrate to 1 over [0,1]."""
-    global _BETA
-    if _BETA is None:
-        # Deferred: importing scipy.integrate costs about 0.3 s, and only the
-        # switching schedule needs it.
-        from scipy.integrate import quad
+    # Deferred: importing scipy.integrate costs about 0.3 s, and only the
+    # switching schedule needs it.
+    from scipy.integrate import quad
 
-        total, _ = quad(_bump, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12)
-        _BETA = 1.0 / total
-    return _BETA
+    total, _ = quad(_bump, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12)
+    return 1.0 / total
 
 
 def switching_derivative(x: float) -> float:

@@ -45,7 +45,7 @@ def normalize_potential(g: Graph, w: Potential) -> tuple[Potential, float]:
     return w.shifted(-shift), shift
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkMatrix:
     """Row-stochastic reversible walk similar to H/E."""
 

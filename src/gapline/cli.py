@@ -1,8 +1,8 @@
 """Command-line front-end: generate fixtures, compute gaps and bounds,
 sweep the adiabatic schedule, and run the cross-validation suite.
 
-Exit codes: 0 success, 2 usage/parse, 3 precondition, 4 solver or
-numerical consistency failure, 5 bound/check violation.
+Exit codes: 0 success, 2 usage, parse or unreadable path, 3 precondition,
+4 solver or numerical consistency failure, 5 bound/check violation.
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ import tempfile
 import numpy as np
 
 from . import adiabatic, bounds, graphcore, spectral, verify
-from .errors import (
-    ConsistencyError,
-    ParseError,
-    PreconditionError,
-    SizeGuardError,
-    SolverError,
-)
+from .errors import ConsistencyError, PreconditionError, SizeGuardError, SolverError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -155,7 +149,7 @@ def cmd_sweep(args) -> int:
     if args.grid is not None:
         grid = list(np.linspace(0.0, 1.0, args.grid))
     else:
-        grid = adiabatic.default_sweep_grid(g)
+        grid = adiabatic.default_sweep_grid()
     samples = adiabatic.gap_sweep(g, w, grid, tol=args.tol)
     lines = ["s,gamma,bound,regime,single_peaked"]
     for sm in samples:
@@ -245,7 +239,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ParseError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (SolverError, ConsistencyError) as exc:

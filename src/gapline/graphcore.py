@@ -124,9 +124,9 @@ def is_connected_subset(g: Graph, vertices) -> bool:
     return len(connected_components(g, vertices)) <= 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Potential:
-    """Real-valued potential on the vertices of a graph."""
+    """Real-valued potential on the vertices of a graph; a value, like Graph."""
 
     values: np.ndarray
 
@@ -150,6 +150,12 @@ class Potential:
 
     def shifted(self, c: float) -> "Potential":
         return Potential(self.values + c)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Potential) and np.array_equal(self.values, other.values)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.values.tolist()))
 
 
 def check_length(g: Graph, length: int, what: str) -> None:
@@ -242,18 +248,21 @@ def find_local_minima(g: Graph, w: Potential) -> set[int]:
 def is_single_basin(g: Graph, w: Potential) -> bool:
     """True iff every strict sublevel set {x : W(x) < E} is connected.
 
-    Connectivity can only change at the distinct values of W, so those are
-    the only thresholds tested.
+    That holds iff there is one sink: a component of the local minima, in
+    the subgraph they induce, with no edge to a vertex of equal W outside
+    them.  Downhill from any vertex below E stays below E and ends in a sink;
+    a second sink is cut off from the first in the sublevel set just above
+    its own level.  Adjacent minima have equal W, so each sink plateau is one
+    such component.  O(n + m); the graph must be connected.
     """
-    check_length(g, len(w), "potential")
+    minima = find_local_minima(g, w)
     if not g.is_connected():
         raise StructureError("single-basin test requires a connected graph")
-    vals = w.values
-    for threshold in np.unique(vals):
-        sub = [x for x in range(g.n) if vals[x] < threshold]
-        if not is_connected_subset(g, sub):
-            return False
-    return True
+    x, y = g.edge_index
+    in_minima = np.isin(np.arange(g.n), list(minima))
+    leaks = (w.values[x] == w.values[y]) & (in_minima[x] != in_minima[y])
+    leaky = set(x[leaks].tolist() + y[leaks].tolist())
+    return sum(not c & leaky for c in connected_components(g, minima)) == 1
 
 
 def local_maxima(g: Graph, psi, tol: float = 0.0) -> set[int]:

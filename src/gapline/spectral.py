@@ -20,7 +20,7 @@ from .graphcore import Graph, Potential, caterpillar_anchors, check_length
 DEFAULT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """Symmetric matrix d_x + W(x) on the diagonal, -1 on graph edges."""
 
@@ -31,7 +31,7 @@ class Hamiltonian:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Two lowest eigenpairs of a graph Hamiltonian and their error bars
     (both 0, i.e. exact, for a hand-built spectrum)."""
@@ -75,9 +75,10 @@ def assemble(g: Graph, w: Potential) -> Hamiltonian:
 def solve_ground_and_gap(h: Hamiltonian, tol: float = DEFAULT_TOL) -> Spectrum:
     """Two lowest eigenpairs by partial dense diagonalization.
 
-    The residual ||r|| of both pairs is checked relative to max(1, ||H||_inf),
-    which bounds every |eigenvalue|.  The unit ground vector is sign-fixed by
-    its largest-magnitude entry.  gap_err = 2 (||r|| + (k + 1) eps ||H||_inf),
+    The residual ||r|| of both pairs is divided by max(1, ||H||_inf), which
+    bounds every |eigenvalue|, before its norm is taken (so that no square
+    overflows) and checked against tol.  The unit ground vector is sign-fixed
+    by its largest-magnitude entry.  gap_err = 2 (||r|| + (k + 1) eps ||H||_inf),
     with k the most nonzeros in a row of H, adds the rounding of the residual
     itself (to first order); psi_err = sqrt(2) (gap_err / 2) / (gap - gap_err)
     is the Davis-Kahan bound on ||psi - exact psi|| (Parlett, ch. 11), inf
@@ -98,7 +99,7 @@ def solve_ground_and_gap(h: Hamiltonian, tol: float = DEFAULT_TOL) -> Spectrum:
         except np.linalg.LinAlgError:
             continue
         vals, vecs = vals[:2], vecs[:, :2]
-        res = float(np.linalg.norm(h.matrix @ vecs - vecs * vals, axis=0).max()) / scale
+        res = float(np.linalg.norm((h.matrix @ vecs - vecs * vals) / scale, axis=0).max())
         if res <= tol:
             break
     if res > tol:
@@ -171,7 +172,7 @@ def discrete_curvature(g: Graph, psi) -> np.ndarray:
     return -(laplacian(g) @ psi)
 
 
-def negative_curvature_set(g: Graph, psi, tol: float = 0.0) -> set[int]:
-    """S[psi] = vertices of curvature below -tol (strictly negative at tol 0)."""
+def negative_curvature_set(g: Graph, psi) -> set[int]:
+    """S[psi] = vertices of strictly negative curvature."""
     curv = discrete_curvature(g, psi)
-    return {x for x in range(g.n) if curv[x] < -tol}
+    return {x for x in range(g.n) if curv[x] < 0}

@@ -31,23 +31,20 @@ def random_connected_graph(
     return graphcore.Graph(n, sorted(edges))
 
 
-def random_potential(
-    rng: np.random.Generator, n: int, lo: float = -1.0, hi: float = 1.0
-) -> graphcore.Potential:
-    return graphcore.Potential(rng.uniform(lo, hi, size=n))
+def random_potential(rng: np.random.Generator, n: int) -> graphcore.Potential:
+    """Independent uniform entries on [-1, 1]."""
+    return graphcore.Potential(rng.uniform(-1.0, 1.0, size=n))
 
 
-def random_single_basin_path_potential(
-    rng: np.random.Generator, l: int, scale: float = 1.0
-) -> graphcore.Potential:
+def random_single_basin_path_potential(rng: np.random.Generator, l: int) -> graphcore.Potential:
     """Valley-shaped potential on a path: strictly decreasing to a random
     minimum position, then strictly increasing."""
     m = int(rng.integers(0, l))
     vals = np.zeros(l)
     for i in range(m - 1, -1, -1):
-        vals[i] = vals[i + 1] + rng.uniform(0.05, 1.0) * scale
+        vals[i] = vals[i + 1] + rng.uniform(0.05, 1.0)
     for i in range(m + 1, l):
-        vals[i] = vals[i - 1] + rng.uniform(0.05, 1.0) * scale
+        vals[i] = vals[i - 1] + rng.uniform(0.05, 1.0)
     return graphcore.Potential(vals)
 
 
@@ -75,16 +72,15 @@ def _row(check, instance, expected, actual, passed) -> VerifyRow:
     return VerifyRow(check, instance, f"{expected}", f"{actual}", bool(passed))
 
 
-def check_caterpillar_residual(lmax: int, tol: float = 1e-12) -> list[VerifyRow]:
+def check_caterpillar_residual(lmax: int) -> list[VerifyRow]:
     """Closed-form ground state annihilated by the caterpillar Hamiltonian."""
     rows = []
     for l in range(2, lmax + 1):
         g, w, _ = graphcore.build_caterpillar(l)
         psi = graphcore.caterpillar_ground_state(l)
-        h = spectral.assemble(g, w)
-        res = float(np.linalg.norm(h.matrix @ psi))
+        res = float(np.linalg.norm(spectral.assemble(g, w).matrix @ psi))
         rows.append(
-            _row("caterpillar_residual", f"l={l}", f"<= {tol:g}", f"{res:.3e}", res <= tol)
+            _row("caterpillar_residual", f"l={l}", "<= 1e-12", f"{res:.3e}", res <= 1e-12)
         )
     return rows
 
@@ -154,8 +150,8 @@ def check_caterpillar_basin(lmax: int) -> list[VerifyRow]:
     return rows
 
 
-def check_flat_path_gaps(lmax: int, tol: float = 1e-10) -> list[VerifyRow]:
-    """Flat-chain gap against the exact value 4 sin^2(pi / 2l)."""
+def check_flat_path_gaps(lmax: int) -> list[VerifyRow]:
+    """Flat-chain gap against the exact value 4 sin^2(pi / 2l), to 1e-10."""
     rows = []
     for l in range(2, max(lmax, 8) + 1):
         g = graphcore.build_path(l)
@@ -169,46 +165,42 @@ def check_flat_path_gaps(lmax: int, tol: float = 1e-10) -> list[VerifyRow]:
                 f"l={l}",
                 f"{exact:.12e}",
                 f"{spec.gap:.12e}",
-                abs(spec.gap - exact) <= tol,
+                abs(spec.gap - exact) <= 1e-10,
             )
         )
     return rows
 
 
-def check_sandwich(
-    seeds: int = 100, nmax: int = 12, slack: float = 1e-8, base_seed: int = 0
-) -> list[VerifyRow]:
-    """Conductance sandwich against the exact gap on random instances."""
+def check_sandwich(base_seed: int = 0) -> list[VerifyRow]:
+    """Conductance sandwich, with slack 1e-8, against the exact gap on 100
+    random instances with n = 3..12."""
     rows = []
-    for seed in range(seeds):
+    for seed in range(100):
         rng = np.random.default_rng([base_seed, seed])
-        n = int(rng.integers(3, nmax + 1))
+        n = int(rng.integers(3, 13))
         g = random_connected_graph(rng, n)
         w = random_potential(rng, n)
         spec = spectral.solve_ground_and_gap(spectral.assemble(g, w))
         sandwich = bounds.gap_sandwich(g, w, spec)
-        gamma = spec.gap
-        ok = sandwich.lower - slack <= gamma <= sandwich.upper + slack
         rows.append(
             _row(
                 "conductance_sandwich",
                 f"seed={seed} n={n}",
                 f"{sandwich.lower:.3e} <= gap <= {sandwich.upper:.3e}",
-                f"{gamma:.3e}",
-                ok,
+                f"{spec.gap:.3e}",
+                sandwich.lower - 1e-8 <= spec.gap <= sandwich.upper + 1e-8,
             )
         )
     return rows
 
 
-def check_walk_contracts(
-    seeds: int = 50, nmax: int = 10, base_seed: int = 0
-) -> list[VerifyRow]:
-    """Row sums, detailed balance, and gap correspondence of the walk matrix."""
+def check_walk_contracts(base_seed: int = 0) -> list[VerifyRow]:
+    """Row sums, detailed balance, and gap correspondence of the walk matrix
+    on 50 random instances with n = 3..10."""
     rows = []
-    for seed in range(seeds):
+    for seed in range(50):
         rng = np.random.default_rng([base_seed, 10_000 + seed])
-        n = int(rng.integers(3, nmax + 1))
+        n = int(rng.integers(3, 11))
         g = random_connected_graph(rng, n)
         w_shifted, _ = bounds.normalize_potential(g, random_potential(rng, n))
         spec = spectral.solve_ground_and_gap(spectral.assemble(g, w_shifted))
@@ -217,14 +209,13 @@ def check_walk_contracts(
         row_dev = float(np.max(np.abs(p.sum(axis=1) - 1.0)))
         balance_dev = float(np.max(np.abs(pi[:, None] * p - (pi[:, None] * p).T)))
         gap_dev = abs((-spec.energy) * walk.spectral_gap() - spec.gap)
-        ok = row_dev <= 1e-12 and balance_dev <= 1e-12 and gap_dev <= 1e-8
         rows.append(
             _row(
                 "walk_contracts",
                 f"seed={seed} n={n}",
                 "rows,balance<=1e-12; gap<=1e-8",
                 f"{row_dev:.1e},{balance_dev:.1e},{gap_dev:.1e}",
-                ok,
+                row_dev <= 1e-12 and balance_dev <= 1e-12 and gap_dev <= 1e-8,
             )
         )
     return rows

@@ -104,6 +104,19 @@ class TestGapSweep:
         with pytest.raises(DimensionError):
             adiabatic.gap_sweep(graphcore.build_path(4), graphcore.Potential([0, 1]), [1.0])
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_graph_without_edges_refused(self, n):
+        g = graphcore.Graph(n, [])
+        with pytest.raises(PreconditionError, match="edges"):
+            adiabatic.endgame_onset(g)
+        with pytest.raises(PreconditionError, match="edges"):
+            adiabatic.gap_sweep(g, flat(n), [0.0, 1.0])
+
+    def test_default_grid(self):
+        grid = adiabatic.default_sweep_grid()
+        assert len(grid) == 118 and grid[0] == 0.0 and grid[-1] == 1.0
+        assert grid[101] == 0.995 and grid == sorted(grid)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             adiabatic.gap_sweep(graphcore.build_path(3), flat(3), [])
@@ -139,6 +152,10 @@ class TestEndgameBound:
         g = graphcore.build_path(3)
         w = graphcore.Potential([0.0, 0.5, 2.0])
         assert adiabatic.endgame_bound(g, w).scale == pytest.approx(0.5)
+
+    def test_graph_without_edges_refused(self):
+        with pytest.raises(PreconditionError, match="edges"):
+            adiabatic.endgame_bound(graphcore.Graph(2, []), graphcore.Potential([0.0, 1.0]))
 
     def test_degenerate_minimum_rejected(self):
         g = graphcore.build_path(3)

@@ -86,6 +86,13 @@ class TestBuildWalkMatrix:
                 spec.gap, abs=1e-8
             )
 
+    def test_compares_by_identity(self):
+        g = graphcore.build_path(3)
+        w = graphcore.Potential([-4.0, -5.0, -4.0])
+        spec = solve(g, w)
+        a, b = bounds.build_walk_matrix(g, w, spec), bounds.build_walk_matrix(g, w, spec)
+        assert a == a and a != b and len({a, b}) == 2
+
     def test_unshifted_potential_rejected(self):
         g = graphcore.build_path(2)
         w = flat(2)

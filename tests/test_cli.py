@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import os
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapline import cli, graphcore, spectral, verify
 from gapline.errors import ConsistencyError
@@ -311,6 +317,17 @@ class TestSweep:
         assert len(payload.strip().split("\n")) == 119
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("n, edges", [(1, []), (3, []), (4, [(0, 1)])])
+    def test_needs_a_graph_with_edges(self, tmp_path, capsys, n, edges):
+        gfile = tmp_path / "g.json"
+        gfile.write_text(graphcore.write_graph(graphcore.Graph(n, edges)))
+        code, stdout, err = run(capsys, "sweep", str(gfile), "--grid", "5")
+        if edges:
+            assert code == 0
+        else:
+            assert code == 3 and stdout == ""
+            assert err.startswith("error: ") and "edges" in err
+
     def test_deterministic(self, tmp_path, capsys):
         gfile = tmp_path / "p.json"
         run(capsys, "gen", "path", "--l", "4", "-o", str(gfile))
@@ -388,3 +405,88 @@ class TestUsage:
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".gapline-")]
         assert leftovers == []
         assert out.exists()
+
+    @pytest.mark.parametrize("command", ["gap", "bounds", "sweep"])
+    def test_directory_as_input(self, tmp_path, capsys, command):
+        code, stdout, err = run(capsys, command, str(tmp_path))
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["gen", "gap", "bounds", "sweep"])
+    def test_directory_as_output(self, tmp_path, capsys, command):
+        gfile = tmp_path / "p.json"
+        run(capsys, "gen", "path", "--l", "3", "-o", str(gfile))
+        target = tmp_path / "out"
+        target.mkdir()
+        args = ["path", "--l", "3"] if command == "gen" else [str(gfile)]
+        code, stdout, err = run(capsys, command, *args, "-o", str(target))
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "p.json"]
+        assert list(target.iterdir()) == []
+
+
+# Ties, zeros, and magnitudes whose squares overflow float64.
+LEVELS = [0.0, 1.0, -1.0, 0.5, -7.25, 1e-300, 1e10, -1e10, 1e170, -1e170, 1e300, -1e300]
+
+FUZZ_COMMANDS = [
+    ["gap"],
+    ["bounds"],
+    ["bounds", "--conductance"],
+    ["bounds", "--poincare"],
+    ["bounds", "--single-peaked"],
+    ["sweep", "--grid", "5"],
+]
+
+
+@st.composite
+def graph_documents(draw):
+    n = draw(st.integers(1, 10))
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    shape = draw(st.sampled_from(["edgeless", "complete", "random", "two cliques"]))
+    if shape == "edgeless":
+        edges = []
+    elif shape == "complete":
+        edges = pairs
+    elif shape == "random":
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    else:
+        edges = [(x, y) for x, y in pairs if (x < n // 2) == (y < n // 2)]
+    w = draw(st.lists(st.sampled_from(LEVELS), min_size=n, max_size=n))
+    return graphcore.write_graph(graphcore.Graph(n, edges), graphcore.Potential(w))
+
+
+def _main(*argv):
+    # `run` needs capsys, a function-scoped fixture that hypothesis rejects.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _no_constant(name):
+    raise AssertionError(f"non-finite number {name} in JSON output")
+
+
+@settings(deadline=None, max_examples=120)
+@given(graph_documents())
+def test_every_run_is_a_result_or_a_refusal(text):
+    """Every command on any small graph exits 0 with finite output, or exits
+    2, 3 or 4 with one error line and no output; nothing escapes main."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for command, *options in FUZZ_COMMANDS:
+            code, stdout, err = _main(command, path, *options)
+            assert code in (0, 2, 3, 4), (command, options, code, err)
+            if code != 0:
+                assert stdout == "" and err.startswith("error: "), (command, options, err)
+                continue
+            assert err == ""
+            if command == "sweep":
+                for line in stdout.splitlines()[1:]:
+                    s, gamma, bound = line.split(",")[:3]
+                    assert all(math.isfinite(float(v)) for v in (s, gamma, bound) if v != "na")
+            else:
+                json.loads(stdout, parse_constant=_no_constant)

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapline import graphcore, spectral
-from gapline.errors import DimensionError, DomainError, InvalidSizeError, ParseError
+from gapline.errors import (
+    DimensionError,
+    DomainError,
+    InvalidSizeError,
+    ParseError,
+    StructureError,
+)
 
 
 class TestGraph:
@@ -33,6 +39,17 @@ class TestGraph:
 
     def test_disconnected(self):
         assert not graphcore.Graph(3, [(0, 1)]).is_connected()
+
+
+class TestPotential:
+    def test_compares_and_hashes_by_value(self):
+        a, b = graphcore.Potential([0.0, 1.0, 2.0]), graphcore.Potential([0, 1, 2])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != graphcore.Potential([0.0, 1.0, 3.0])
+        assert a != graphcore.Potential([0.0, 1.0])
+        assert a != a.values
+        assert graphcore.Potential([0.0]) == graphcore.Potential([-0.0])
+        assert hash(graphcore.Potential([0.0])) == hash(graphcore.Potential([-0.0]))
 
 
 class TestBuildPath:
@@ -230,6 +247,16 @@ class TestConnectedComponents:
         assert graphcore.is_connected_subset(g, vertices)
 
 
+def sublevel_scan(g, w):
+    """Reference: every strict sublevel set, one per distinct value of W,
+    tested for connectivity."""
+    vals = w.values
+    return all(
+        graphcore.is_connected_subset(g, [x for x in range(g.n) if vals[x] < threshold])
+        for threshold in np.unique(vals)
+    )
+
+
 class TestIsSingleBasin:
     def test_monotone_side_valley(self):
         g = graphcore.build_path(3)
@@ -238,6 +265,37 @@ class TestIsSingleBasin:
     def test_double_well_rejected(self):
         g = graphcore.build_path(3)
         assert not graphcore.is_single_basin(g, graphcore.Potential([1, 2, 1]))
+
+    def test_draining_plateau_is_not_a_sink(self):
+        # Vertex 1 is a local minimum, but its level neighbour 2 drains to 3.
+        g = graphcore.build_path(4)
+        w = graphcore.Potential([2, 1, 1, 0])
+        assert graphcore.find_local_minima(g, w) == {1, 3}
+        assert graphcore.is_single_basin(g, w)
+        double_well = graphcore.Potential([2, 1, 1, 2, 0])
+        assert not graphcore.is_single_basin(graphcore.build_path(5), double_well)
+
+    def test_flat_potential_is_one_sink(self):
+        g = graphcore.Graph(5, [(x, y) for x in range(5) for y in range(x + 1, 5)])
+        assert graphcore.is_single_basin(g, graphcore.Potential(np.zeros(5)))
+        assert graphcore.is_single_basin(graphcore.build_path(1), graphcore.Potential([3.0]))
+
+    def test_disconnected_graph_refused(self):
+        with pytest.raises(StructureError):
+            graphcore.is_single_basin(graphcore.Graph(3, [(0, 1)]), graphcore.Potential([0, 1, 2]))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 13), st.integers(0, 10_000), st.sampled_from([0.0, 0.15, 0.4]))
+    def test_matches_sublevel_scan(self, n, seed, extra_edge_prob):
+        rng = np.random.default_rng(seed)
+        # A random spanning tree keeps the graph connected; few integer
+        # levels force plateaus, draining and not.
+        edges = {(int(rng.integers(0, i)), i) for i in range(1, n)}
+        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+        edges |= {e for e in pairs if rng.random() < extra_edge_prob}
+        g = graphcore.Graph(n, sorted(edges))
+        w = graphcore.Potential(rng.integers(-2, 3, n))
+        assert graphcore.is_single_basin(g, w) == sublevel_scan(g, w)
 
     @pytest.mark.parametrize("l", range(2, 21))
     def test_caterpillar_single_basin(self, l):

@@ -64,6 +64,23 @@ class TestSolveGroundAndGap:
         spec = spectral.solve_ground_and_gap(spectral.assemble(graphcore.build_path(l), flat(l)))
         assert spec.gap == pytest.approx(4 * math.sin(math.pi / (2 * l)) ** 2, abs=1e-10)
 
+    def test_huge_potential_residual_does_not_overflow(self):
+        # Residual entries near eps * 1e170 would overflow once squared in the norm.
+        g = graphcore.Graph(3, [(0, 1), (0, 2), (1, 2)])
+        spec = spectral.solve_ground_and_gap(
+            spectral.assemble(g, graphcore.Potential([0.0, 0.0, -1e170]))
+        )
+        assert spec.residual <= spectral.DEFAULT_TOL
+        assert spec.energy == pytest.approx(-1e170)
+        assert math.isfinite(spec.gap_err)
+
+    def test_results_compare_by_identity(self):
+        h = spectral.assemble(graphcore.build_path(3), flat(3))
+        h2 = spectral.assemble(graphcore.build_path(3), flat(3))
+        spec, spec2 = spectral.solve_ground_and_gap(h), spectral.solve_ground_and_gap(h2)
+        assert h == h and h != h2 and len({h, h2}) == 2
+        assert spec == spec and spec != spec2 and len({spec, spec2}) == 2
+
     def test_psi_positive_unit(self):
         rng = np.random.default_rng(7)
         g = random_connected_graph(rng, 10)
