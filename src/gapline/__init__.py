@@ -8,16 +8,12 @@ Poincare canonical-path bounds, and the adiabatic-schedule analysis.
 
 from .adiabatic import (
     EndgameBound,
-    RuntimeEstimate,
     ScheduleSample,
     bulk_gap_floor,
     default_sweep_grid,
     endgame_bound,
     gap_sweep,
-    interpolated_hamiltonian,
     rescale_to_unit_final_gap,
-    runtime_estimate,
-    schedule_derivative_norm,
     switching_derivative,
     switching_schedule,
 )
@@ -50,10 +46,7 @@ from .spectral import (
     Hamiltonian,
     Spectrum,
     assemble,
-    eigen_residual,
     laplacian,
-    negative_curvature_set,
-    rayleigh_quotient,
     solve_ground_and_gap,
     two_lobe_trial_state,
 )

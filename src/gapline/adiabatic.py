@@ -1,5 +1,5 @@
-"""Interpolated Hamiltonians, gap sweeps along the schedule, the analytic
-piecewise gap floor, the smooth switching function, and runtime estimates.
+"""Gap sweeps along the interpolation schedule, the analytic piecewise gap
+floor, and the smooth switching function.
 
 The interpolation is H(s) = (1-s) L_G + s diag(W).  For s < 1 the rescaled
 H(s)/(1-s) is again a graph Hamiltonian, so the single-peaked gap floor
@@ -20,21 +20,6 @@ from .spectral import DEFAULT_TOL, Hamiltonian, laplacian, solve_ground_and_gap
 
 BULK = "bulk"
 ENDGAME = "endgame"
-
-
-def interpolated_hamiltonian(g: Graph, w: Potential, s: float) -> Hamiltonian:
-    """H(s) = (1-s) L_G + s diag(W)."""
-    if not 0.0 <= s <= 1.0:
-        raise DomainError(f"interpolation parameter must lie in [0,1], got {s}")
-    check_length(g, len(w), "potential")
-    return Hamiltonian(matrix=_interpolate(laplacian(g), w, s))
-
-
-def _interpolate(lap: np.ndarray, w: Potential, s: float) -> np.ndarray:
-    """(1-s) lap + s diag(W), the matrix of H(s) given L_G."""
-    m = (1.0 - s) * lap
-    m[np.diag_indices(len(w))] += s * w.values
-    return m
 
 
 @dataclass(frozen=True)
@@ -93,7 +78,9 @@ def gap_sweep(g: Graph, w: Potential, grid, tol: float = DEFAULT_TOL) -> list[Sc
                 )
             )
             continue
-        spectrum = solve_ground_and_gap(Hamiltonian(_interpolate(lap, w, s)), tol=tol)
+        m = (1.0 - s) * lap
+        m[np.diag_indices(g.n)] += s * w.values
+        spectrum = solve_ground_and_gap(Hamiltonian(m), tol=tol)
         # Close to s = 1 amplitudes fall below their error bar; the peak
         # structure is then not certifiable and the bulk floor is withheld.
         peaked = spectrum.positive and is_single_peaked(g, spectrum.psi, tol=spectrum.psi_err)
@@ -198,39 +185,3 @@ def switching_schedule(x: float | np.ndarray) -> float | np.ndarray:
     s = np.cumsum(pieces)[position]
     s = np.where(right, 1.0 - s, s)
     return float(s[0]) if xs.ndim == 0 else s
-
-
-@dataclass(frozen=True)
-class RuntimeEstimate:
-    """Adiabatic runtime formulas with big-O constants fixed to 1.
-
-    tau_cubic is the constant-rate estimate, tau_smooth the smooth-schedule
-    one; both are raw ratios, up to the adiabatic theorem's constant.
-    """
-
-    gamma_min: float
-    dh_ds_norm: float
-    tau_cubic: float
-    tau_smooth: float
-    log_vanishes: bool    # gamma_min >= 1 makes the log factor vanish
-
-
-def runtime_estimate(gamma_min: float, dh_norm: float) -> RuntimeEstimate:
-    """tau_cubic = |dH/ds|^2 / gamma^3; tau_smooth = ln(1/gamma)^12 / gamma^2."""
-    if gamma_min <= 0 or dh_norm <= 0:
-        raise DomainError("runtime estimate requires positive gap and norm")
-    log_term = math.log(1.0 / gamma_min)
-    return RuntimeEstimate(
-        gamma_min=gamma_min,
-        dh_ds_norm=dh_norm,
-        tau_cubic=dh_norm**2 / gamma_min**3,
-        tau_smooth=max(log_term, 0.0) ** 12 / gamma_min**2,
-        log_vanishes=log_term <= 0.0,
-    )
-
-
-def schedule_derivative_norm(g: Graph, w: Potential) -> float:
-    """Exact operator norm of dH/ds = diag(W) - L_G (largest |eigenvalue|)."""
-    m = np.diag(w.values) - laplacian(g)
-    vals = np.linalg.eigvalsh(m)
-    return float(np.max(np.abs(vals)))

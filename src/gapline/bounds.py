@@ -128,6 +128,8 @@ def cut_profile(g: Graph, psi, subset) -> CutReport:
     psi2 = psi**2
     inside = float(sum(psi2[v] for v in s))
     outside = float(sum(psi2[v] for v in range(g.n) if v not in s))
+    if min(inside, outside) == 0.0:
+        raise PreconditionError("cut ratio undefined: one side of the cut has zero psi^2 mass")
     return CutReport(
         subset=tuple(sorted(s)),
         flow=float(flow),

@@ -127,28 +127,6 @@ def solve_ground_and_gap(h: Hamiltonian, tol: float = DEFAULT_TOL) -> Spectrum:
     )
 
 
-def eigen_residual(h: Hamiltonian, v, lam: float) -> float:
-    """Relative eigenpair residual ||Hv - lam v|| / ||v||."""
-    v = np.asarray(v, dtype=float)
-    if len(v) != h.n:
-        raise DimensionError(f"vector has length {len(v)}, matrix is {h.n}x{h.n}")
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise DomainError("residual of the zero vector is undefined")
-    return float(np.linalg.norm(h.matrix @ v - lam * v) / norm)
-
-
-def rayleigh_quotient(h: Hamiltonian, v) -> float:
-    """<v|H|v> / <v|v>; upper-bounds excited energies for v orthogonal to psi."""
-    v = np.asarray(v, dtype=float)
-    if len(v) != h.n:
-        raise DimensionError(f"vector has length {len(v)}, matrix is {h.n}x{h.n}")
-    nrm2 = float(v @ v)
-    if nrm2 == 0:
-        raise DomainError("Rayleigh quotient of the zero vector is undefined")
-    return float(v @ (h.matrix @ v)) / nrm2
-
-
 def two_lobe_trial_state(l: int, psi) -> np.ndarray:
     """Sign-flipped trial state for the caterpillar: +psi on the left lobe,
     -psi on the right, zero at the center spine vertex and its two legs.
@@ -163,16 +141,3 @@ def two_lobe_trial_state(l: int, psi) -> np.ndarray:
             f"vector has length {len(psi)}, caterpillar l={l} has {len(anchor)} vertices"
         )
     return np.where(anchor < l, psi, np.where(anchor > l, -psi, 0.0))
-
-
-def discrete_curvature(g: Graph, psi) -> np.ndarray:
-    """Delta^2 psi(x) = -d_x psi(x) + sum of psi over neighbors (= -L psi)."""
-    psi = np.asarray(psi, dtype=float)
-    check_length(g, len(psi), "vector")
-    return -(laplacian(g) @ psi)
-
-
-def negative_curvature_set(g: Graph, psi) -> set[int]:
-    """S[psi] = vertices of strictly negative curvature."""
-    curv = discrete_curvature(g, psi)
-    return {x for x in range(g.n) if curv[x] < 0}

@@ -192,24 +192,25 @@ def test_criterion_8_walk_matrix_contracts(capsys):
 
 def test_criterion_9_adiabatic_sweep(capsys):
     ok = True
-    worst_endgame = math.inf
+    worst_margin = math.inf
     for seed in range(50):
         rng = np.random.default_rng([9, seed])
         n = int(rng.integers(4, 9))
         g = random_tree(rng, n) if seed % 2 else graphcore.build_path(n)
         w, _ = adiabatic.rescale_to_unit_final_gap(random_unique_min_potential(rng, n))
         onset = adiabatic.endgame_onset(g)
+        floor = adiabatic.endgame_bound(g, w).bound
         grid = list(np.linspace(0.0, onset, 12)) + list(np.linspace(onset, 1.0, 6))
         for sample in adiabatic.gap_sweep(g, w, grid):
             if sample.regime == adiabatic.BULK and sample.gamma_bound is not None:
                 if sample.gamma_exact < sample.gamma_bound - 1e-12:
                     ok = False
             if sample.regime == adiabatic.ENDGAME:
-                worst_endgame = min(worst_endgame, sample.gamma_exact)
-                if sample.gamma_exact < 7.0 / 16.0 - 1e-8:
+                worst_margin = min(worst_margin, sample.gamma_exact - floor)
+                if sample.gamma_exact < floor - 1e-8:
                     ok = False
     report(capsys, 9, "adiabatic sweep floors on 50 instances",
-           ok, f"min endgame gap {worst_endgame:.4f} vs floor {7 / 16:.4f}")
+           ok, f"min margin of endgame gap over endgame_bound {worst_margin:.4f}")
 
 
 def test_criterion_10_switching_schedule(capsys):

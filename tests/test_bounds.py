@@ -137,6 +137,14 @@ class TestCutProfile:
         with pytest.raises(DomainError):
             bounds.cut_profile(g, psi, {0, 1, 2})
 
+    def test_zero_mass_side_refused(self):
+        # psi^2 underflows to 0 on vertex 0; the ratio has no denominator.
+        g = graphcore.build_path(3)
+        with pytest.raises(PreconditionError, match="zero psi\\^2 mass"):
+            bounds.cut_profile(g, [1e-170, 1.0, 1.0], {0})
+        with pytest.raises(PreconditionError, match="zero psi\\^2 mass"):
+            bounds.cut_profile(graphcore.Graph(2, []), [0.0, 1.0], {0})
+
 
 class TestConductanceExact:
     def test_path3_uniform(self):

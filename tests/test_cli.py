@@ -247,6 +247,13 @@ class TestBounds:
         assert "resolved positive" in doc["conductance"]["error"]
         assert "error" in doc["single_peaked"]
 
+    def test_zero_mass_cut_refused(self, tmp_path, capsys):
+        path = tmp_path / "e2.json"
+        path.write_text(json.dumps({"n": 2, "edges": [], "potential": [0, 0]}))
+        code, stdout, err = run(capsys, "bounds", str(path), "--cut", "0")
+        assert code == 3 and stdout == ""
+        assert err.count("\n") == 1 and err.startswith("error: cut ratio undefined")
+
     def test_disconnected_graph_refused_per_section(self, tmp_path, capsys):
         path = tmp_path / "disc.json"
         doc = {"n": 4, "edges": [[0, 1], [2, 3]], "potential": [0.0, 1.0, 0.5, 2.0]}
@@ -435,7 +442,9 @@ FUZZ_COMMANDS = [
     ["bounds", "--conductance"],
     ["bounds", "--poincare"],
     ["bounds", "--single-peaked"],
+    ["bounds", "--cut", "0"],
     ["sweep", "--grid", "5"],
+    ["sweep"],
 ]
 
 

@@ -299,39 +299,12 @@ class TestTwoLowestPairs:
 
 
 class TestResidualAndRayleigh:
-    def test_exact_eigenpair(self):
-        h = spectral.assemble(graphcore.build_path(3), flat(3))
-        assert spectral.eigen_residual(h, np.ones(3), 0.0) == pytest.approx(0.0, abs=1e-14)
-
     @pytest.mark.parametrize("l", range(2, 21))
     def test_caterpillar_closed_form_residual(self, l):
         g, w, _ = graphcore.build_caterpillar(l)
         h = spectral.assemble(g, w)
         psi = graphcore.caterpillar_ground_state(l)
-        assert spectral.eigen_residual(h, psi, 0.0) <= 1e-12
-
-    def test_perturbation_scales_linearly(self):
-        h = spectral.assemble(graphcore.build_path(3), flat(3))
-        v = np.ones(3) / math.sqrt(3)
-        direction = np.array([1.0, 0.0, -1.0]) / math.sqrt(2)
-        r1 = spectral.eigen_residual(h, v + 1e-3 * direction, 0.0)
-        r2 = spectral.eigen_residual(h, v + 2e-3 * direction, 0.0)
-        assert r2 / r1 == pytest.approx(2.0, rel=1e-2)
-
-    def test_zero_vector_rejected(self):
-        h = spectral.assemble(graphcore.build_path(2), flat(2))
-        with pytest.raises(DomainError):
-            spectral.eigen_residual(h, [0, 0], 0.0)
-        with pytest.raises(DomainError):
-            spectral.rayleigh_quotient(h, [0, 0])
-
-    def test_rayleigh_at_eigenvector_and_above_gap(self):
-        g = graphcore.build_path(3)
-        h = spectral.assemble(g, flat(3))
-        spec = spectral.solve_ground_and_gap(h)
-        assert spectral.rayleigh_quotient(h, spec.psi) == pytest.approx(spec.energy, abs=1e-12)
-        v = np.array([1.0, 0.0, -1.0])  # orthogonal to the uniform ground state
-        assert spectral.rayleigh_quotient(h, v) >= spec.energy + spec.gap - 1e-12
+        assert np.linalg.norm(h.matrix @ psi) / np.linalg.norm(psi) <= 1e-12
 
 
 class TestTwoLobeTrialState:
@@ -355,57 +328,11 @@ class TestTwoLobeTrialState:
         psi = graphcore.caterpillar_ground_state(l)
         phi = spectral.two_lobe_trial_state(l, psi)
         assert phi @ phi > 1.0
-        assert spectral.rayleigh_quotient(h, phi) <= 2 * (2 / 3) ** (2 * l - 1)
+        assert phi @ (h.matrix @ phi) / (phi @ phi) <= 2 * (2 / 3) ** (2 * l - 1)
 
     def test_wrong_dimension(self):
         with pytest.raises(DimensionError):
             spectral.two_lobe_trial_state(4, np.ones(5))
-
-
-class TestNegativeCurvatureSet:
-    def test_constant_vector_is_harmonic(self):
-        g = graphcore.build_path(4)
-        assert spectral.negative_curvature_set(g, np.ones(4)) == set()
-
-    def test_interior_peak(self):
-        g = graphcore.build_path(3)
-        curv = spectral.discrete_curvature(g, [1.0, 2.0, 1.0])
-        assert curv == pytest.approx([1.0, -2.0, 1.0])
-        assert spectral.negative_curvature_set(g, [1.0, 2.0, 1.0]) == {1}
-
-    def test_curvature_matches_neighbour_sum(self):
-        rng = np.random.default_rng(29)
-        for _ in range(10):
-            n = int(rng.integers(2, 12))
-            g = random_connected_graph(rng, n)
-            psi = rng.uniform(-1.0, 1.0, size=n)
-            expected = [
-                -g.degree(x) * psi[x] + sum(psi[y] for y in g.neighbors(x)) for x in range(n)
-            ]
-            assert spectral.discrete_curvature(g, psi) == pytest.approx(expected, abs=1e-14)
-
-    def test_curvature_sign_matches_potential_minus_energy(self):
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            n = int(rng.integers(3, 10))
-            g = random_connected_graph(rng, n)
-            w = random_potential(rng, n)
-            spec = spectral.solve_ground_and_gap(spectral.assemble(g, w))
-            curv = spectral.discrete_curvature(g, spec.psi)
-            expected = (w.values - spec.energy) * spec.psi
-            assert curv == pytest.approx(expected, abs=1e-9)
-
-    def test_single_basin_ground_state_has_connected_set(self):
-        rng = np.random.default_rng(29)
-        from gapline.verify import random_single_basin_path_potential
-
-        for _ in range(20):
-            l = int(rng.integers(3, 20))
-            g = graphcore.build_path(l)
-            w = random_single_basin_path_potential(rng, l)
-            spec = spectral.solve_ground_and_gap(spectral.assemble(g, w))
-            s = spectral.negative_curvature_set(g, spec.psi)
-            assert graphcore.is_connected_subset(g, s)
 
 
 @given(st.integers(2, 8), st.floats(-3, 3, allow_nan=False))
