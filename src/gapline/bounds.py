@@ -1,5 +1,5 @@
 """Markov-chain gap bounds: conductance sandwich, single-peaked lower bound,
-and Poincare canonical-path bounds.
+and Poincare canonical-path bounds, whose load takes O(n) on a tree.
 
 The bridge between Hamiltonians and random walks is the similarity transform
 P = (1/E) D^-1 H D with D = diag(psi), valid once the potential has been
@@ -259,9 +259,11 @@ def single_peaked_gap_bound(g: Graph, w: Potential, spectrum: Spectrum) -> float
     """Lower bound 1 / (2 (|W| + d_G) |V|^2), valid when the ground state
     of assemble(g, w), given as its solved `spectrum`, is single-peaked;
     entries within psi_err of a neighbour count as level.  Raises
-    PreconditionError when psi is not resolved positive, or naming the
-    disconnected plateau components.
+    DomainError below 2 vertices, and PreconditionError when psi is not
+    resolved positive, or naming the disconnected plateau components.
     """
+    if g.n < 2:
+        raise DomainError("single-peaked bound needs at least 2 vertices")
     _require_positive(g, spectrum, "single-peaked bound")
     maxima = local_maxima(g, spectrum.psi, tol=spectrum.psi_err)
     parts = connected_components(g, maxima)
@@ -309,26 +311,71 @@ def _bfs_predecessors(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return dist, pred
 
 
-def _require_finite_kappa(psi: np.ndarray) -> None:
-    """Refuse amplitudes for which kappa' is not a finite positive float64.
+def _unit_amplitudes(psi: np.ndarray) -> np.ndarray:
+    """psi scaled to unit norm, refusing amplitudes for which kappa' is not
+    a finite positive float64.
 
-    Every partial sum of kappa' is at most 2 n (sum psi^2)^2 / min(psi)^2,
-    so checking that bound in logarithms, before any division, keeps every
-    step finite and free of overflow.
+    kappa' scales as |psi|^2, so the bound is only a bound at unit norm.
+    Every partial sum of kappa' is then at most 2 n / min(psi)^2, so
+    checking that bound in logarithms, before any division, keeps every step
+    finite and free of overflow.
     """
     smallest = float(np.min(psi))
-    if not smallest > 0.0 or (
-        math.log(2.0 * len(psi)) + 2.0 * math.log(float(psi @ psi)) - 2.0 * math.log(smallest)
-        >= _LOG_FLOAT_MAX
-    ):
+    if smallest > 0.0:
+        psi = psi / math.hypot(*psi.tolist())
+        smallest = float(np.min(psi))
+    if not smallest > 0.0 or math.log(2.0 * len(psi)) - 2.0 * math.log(smallest) >= _LOG_FLOAT_MAX:
         raise PreconditionError(
             f"kappa' needs every ground-state amplitude positive and large enough "
             f"to stay finite in float64; the smallest ground-state amplitude is "
             f"{smallest:.3e}"
         )
+    return psi
 
 
-def _tree_kappa(g: Graph, psi: np.ndarray) -> float:
+def _kappa_tree_pass(g: Graph, psi: np.ndarray) -> float:
+    """kappa' of a tree, whose only paths are its canonical paths, in O(n).
+
+    Rooted at 0, the edge from v to its child c carries the pairs with one
+    end in the subtree of c and the other outside it.  With S the psi^2 mass
+    in the subtree (sub) or outside it (out), Q_sub that mass weighted by the
+    inverse-flow length to c, branch = Q_sub + S_sub / (psi_c psi_v) the same
+    length taken to v, and Q_out the outside mass weighted by its length to v,
+    the edge carries 2 (S_out branch + S_sub Q_out).  One pass up the BFS
+    order sums the subtrees; one pass down takes each child's outside terms
+    from v's own, v itself and its siblings, which a forward and a backward
+    sweep over the children add in.  No sum is formed as a difference, so
+    every load keeps its relative accuracy however small psi gets.
+    """
+    n, p, amp = g.n, (psi * psi).tolist(), psi.tolist()
+    parent, order, children = [0] + [-1] * (n - 1), [0], [[] for _ in range(n)]
+    for v in order:
+        for c in g.neighbors(v):
+            if parent[c] < 0:
+                parent[c] = v
+                children[v].append(c)
+                order.append(c)
+    step = [0.0] + [1.0 / (amp[c] * amp[parent[c]]) for c in range(1, n)]
+    s_sub, q_sub, branch = p[:], [0.0] * n, [0.0] * n
+    for c in order[:0:-1]:
+        branch[c] = q_sub[c] + step[c] * s_sub[c]
+        s_sub[parent[c]] += s_sub[c]
+        q_sub[parent[c]] += branch[c]
+    s_out, q_out = [0.0] * n, [0.0] * n
+    for v in order:
+        s_acc, q_acc = s_out[v] + p[v], q_out[v] + step[v] * s_out[v]
+        for c in children[v]:
+            s_out[c], q_out[c] = s_acc, q_acc
+            s_acc, q_acc = s_acc + s_sub[c], q_acc + branch[c]
+        s_acc = q_acc = 0.0
+        for c in reversed(children[v]):
+            s_out[c] += s_acc
+            q_out[c] += q_acc
+            s_acc, q_acc = s_acc + s_sub[c], q_acc + branch[c]
+    return 2.0 * max(s_out[c] * branch[c] + s_sub[c] * q_out[c] for c in order[1:])
+
+
+def _kappa_bfs_sweep(g: Graph, psi: np.ndarray) -> float:
     """kappa' for the canonical paths of poincare_bound, from one BFS tree
     per source.
 
@@ -383,12 +430,18 @@ def poincare_bound(g: Graph, spectrum: Spectrum) -> float:
     (x, y) puts psi_x^2 psi_y^2 sum_{(a,b) on the path} 1/(psi_a psi_b) on
     each of its edges.  It is computed with the unit-normalized ground state
     of the solved `spectrum`; the ground energy cancels from the final
-    bound, so no shift is needed.  Raises PreconditionError when the ground
-    state has an entry <= 0 or so small that kappa' is not finite in float64.
+    bound, so no shift is needed.  On a tree every path is the tree path, so
+    kappa' takes one pass up and one down the tree, O(n); other graphs sweep
+    all BFS trees, O(n (n + m)) time and O(n^2) memory.  Raises DomainError
+    below 2 vertices, and PreconditionError when the ground state has an
+    entry <= 0 or so small that kappa' is not finite in float64.
     """
+    if g.n < 2:
+        raise DomainError("Poincare bound needs at least 2 vertices")
     if not g.is_connected():
         raise StructureError("Poincare bound requires a connected graph")
     check_length(g, len(spectrum.psi), "spectrum psi")
-    psi = spectrum.psi
-    _require_finite_kappa(psi)
-    return 1.0 / _tree_kappa(g, psi)
+    psi = _unit_amplitudes(spectrum.psi)
+    # A connected graph with n - 1 edges is a tree.
+    kappa = _kappa_tree_pass if len(g.edges) == g.n - 1 else _kappa_bfs_sweep
+    return 1.0 / kappa(g, psi)

@@ -22,6 +22,7 @@ from gapline.verify import (
     random_connected_graph,
     random_potential,
     random_single_basin_path_potential,
+    random_tree,
 )
 
 
@@ -395,6 +396,11 @@ class TestSinglePeakedGapBound:
         with pytest.raises(PreconditionError, match="components"):
             bounds.single_peaked_gap_bound(g, w, solve(g, w))
 
+    def test_one_vertex_refused(self):
+        g = graphcore.Graph(1, [])
+        with pytest.raises(DomainError, match="at least 2 vertices"):
+            bounds.single_peaked_gap_bound(g, flat(1), spectrum_with([1.0]))
+
 
 class TestPoincareBound:
     def test_flat_two_vertex(self):
@@ -420,6 +426,20 @@ class TestPoincareBound:
         assert gamma / bound <= math.pi**2 * 1.05
         # and l(l-1) itself is within the pi^2 window
         assert gamma * l * (l - 1) <= math.pi**2 * 1.05
+
+    def test_scale_of_psi_does_not_matter(self):
+        # kappa' grows as |psi|^2; only the unit ground state gives the bound.
+        g = graphcore.build_path(5)
+        spec = solve(g, flat(5))
+        unit = bounds.poincare_bound(g, spec)
+        for scale in (1e-3, 0.1, 3.0):
+            scaled = spectrum_with(scale * spec.psi)
+            assert bounds.poincare_bound(g, scaled) == pytest.approx(unit, rel=1e-15, abs=0)
+        assert unit <= spec.gap
+
+    def test_one_vertex_refused(self):
+        with pytest.raises(DomainError, match="at least 2 vertices"):
+            bounds.poincare_bound(graphcore.Graph(1, []), spectrum_with([1.0]))
 
     def test_works_on_general_graphs(self):
         rng = np.random.default_rng(53)
@@ -486,6 +506,32 @@ def reference_bound(g, spec):
     return 1 / path_load_kappa(g, spec.psi, bfs_paths(g))
 
 
+def graph_of(family, rng, n):
+    """A random connected graph, a star or a uniform-attachment tree on n vertices."""
+    if family == "star":
+        return graphcore.Graph(n, [(0, v) for v in range(1, n)])
+    return (random_tree if family == "tree" else random_connected_graph)(rng, n)
+
+
+def exact_tree_kappa(g, psi):
+    """kappa' of a tree at unit psi in exact rationals, one pair at a time:
+    each pair loads every edge of its tree path."""
+    q = [Fraction(v) for v in psi]
+    norm2 = sum(v * v for v in q)
+    load = {e: Fraction(0) for e in g.edges}
+    for x in range(g.n):
+        _, pred = bfs_tree(g, x)
+        for y in range(x + 1, g.n):
+            path = [y]
+            while path[-1] != x:
+                path.append(pred[path[-1]])
+            edges = [(min(a, b), max(a, b)) for a, b in zip(path, path[1:])]
+            weight = 2 * q[x] ** 2 * q[y] ** 2 * sum(1 / (q[a] * q[b]) for a, b in edges)
+            for e in edges:
+                load[e] += weight
+    return max(load.values()) / norm2
+
+
 def spectrum_with(psi):
     return spectral.Spectrum(energy=0.0, gap=1.0, psi=np.asarray(psi), residual=0.0, tol=1e-10)
 
@@ -540,15 +586,16 @@ class TestBfsPredecessors:
 
 
 class TestTreePoincare:
-    """poincare_bound walks BFS trees; it must equal the generic load over
-    the independently built path set of bfs_paths."""
+    """poincare_bound walks BFS trees, or the tree itself when the graph is
+    one; it must equal the generic load over the independently built path
+    set of bfs_paths."""
 
-    @settings(deadline=None, max_examples=40)
-    @given(st.integers(2, 30), st.integers(0, 10_000))
-    def test_matches_path_set_on_random_graphs(self, n, seed):
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(["graph", "star", "tree"]), st.integers(2, 30), st.integers(0, 10_000))
+    def test_matches_path_set_on_random_graphs(self, family, n, seed):
         rng = np.random.default_rng(seed)
-        g = random_connected_graph(rng, n)
-        spec = solve(g, random_potential(rng, n))
+        g, w = relabelled(rng, graph_of(family, rng, n), random_potential(rng, n))
+        spec = solve(g, w)
         assert bounds.poincare_bound(g, spec) == pytest.approx(reference_bound(g, spec), rel=1e-12)
 
     @settings(deadline=None, max_examples=15)
@@ -567,11 +614,43 @@ class TestTreePoincare:
         g = graphcore.build_path(l)
         assert bounds.poincare_bound(g, spec) == pytest.approx(reference_bound(g, spec), rel=1e-12)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tree_pass_matches_exact_rationals(self, seed):
+        # Amplitudes spread over 120 decades.  Forming a subtree's outside
+        # mass as total minus inside loses it next to an O(1) mass and fails
+        # this test; every sum in the tree pass has positive terms only.
+        rng = np.random.default_rng(seed)
+        for family in ("tree", "star", "path"):
+            n = int(rng.integers(2, 25))
+            g = graphcore.build_path(n) if family == "path" else graph_of(family, rng, n)
+            g, _ = relabelled(rng, g, flat(n))
+            psi = 10.0 ** rng.uniform(-120, 0, n)
+            psi /= math.hypot(*psi)
+            kappa = 1 / bounds.poincare_bound(g, spectrum_with(psi))
+            exact = exact_tree_kappa(g, psi)
+            assert abs(Fraction(kappa) / exact - 1) <= 1e-14
+
+    def test_bfs_sweep_runs_only_off_trees(self, monkeypatch):
+        caterpillar, w, _ = graphcore.build_caterpillar(6)
+        path = graphcore.build_path(50)
+        trees = [(caterpillar, solve(caterpillar, w)), (path, solve(path, flat(50)))]
+        expected = [reference_bound(g, spec) for g, spec in trees]
+
+        def refuse(g):
+            raise AssertionError("BFS sweep")
+
+        monkeypatch.setattr(bounds, "_bfs_predecessors", refuse)
+        for (g, spec), reference in zip(trees, expected):
+            assert bounds.poincare_bound(g, spec) == pytest.approx(reference, rel=1e-12)
+        cycle = graphcore.Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        with pytest.raises(AssertionError, match="BFS sweep"):
+            bounds.poincare_bound(cycle, spectrum_with([0.5] * 4))
+
     def test_cycle_tie_break(self):
         # (0, 2) has two shortest paths on the 4-cycle; the lowest-index
         # predecessor routes it through 1, and through 3 kappa' would differ.
         g = graphcore.Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        spec = spectrum_with([0.2, 0.7, 0.3, 0.6])
+        spec = spectrum_with(np.array([0.2, 0.7, 0.3, 0.6]) / math.sqrt(0.98))
         paths = bfs_paths(g)
         assert paths[(0, 2)] == (0, 1, 2)
         detour = {**paths, (0, 2): (0, 3, 2), (2, 0): (2, 3, 0)}
