@@ -276,39 +276,26 @@ def single_peaked_gap_bound(g: Graph, w: Potential, spectrum: Spectrum) -> float
     return 1.0 / (2.0 * (w.spread + g.max_degree) * g.n**2)
 
 
-def _bfs_predecessors(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Hop distances dist[x, v] and BFS-tree predecessors pred[x, v], all sources.
-
-    pred[x, v] is the lowest-index neighbour u of v with
-    dist(x, u) = dist(x, v) - 1, and pred[x, x] = x.  The graph must be
-    connected.
+def _bfs_tree(g: Graph, root: int) -> tuple[list[int], list[int]]:
+    """Vertices in breadth-first order from root, and their BFS-tree
+    predecessors: pred[v] is the lowest-index neighbour of v one hop nearer
+    the root, and pred[root] = root.  Each hop level is scanned in ascending
+    order, so the first vertex to reach v is that neighbour.  The graph must
+    be connected.
     """
-    # Deferred: only the Poincare bound pays for importing scipy.sparse.
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import shortest_path
-
-    n = g.n
-    x, y = g.edge_index
-    # Directed edges tail -> head, sorted by (head, tail): the in-edges of v
-    # form one run, tails ascending, which is row v of the adjacency in CSR.
-    order = np.lexsort((np.r_[x, y], np.r_[y, x]))
-    heads, tails = np.r_[y, x][order], np.r_[x, y][order]
-    starts = np.r_[0, np.cumsum(np.bincount(heads, minlength=n))]
-    adjacency = csr_array((np.ones(len(tails)), tails, starts), shape=(n, n))
-    dist = shortest_path(adjacency, directed=False, unweighted=True).astype(np.intp)
-    pred = np.empty((n, n), dtype=np.intp)
-    # dist is symmetric: row t of dist[tails] is t's distance from each source.
-    # Per group of heads with about 2^16 in-edge entries, each in-edge whose
-    # tail is one hop nearer offers that tail, else n; near is dist in the
-    # narrowest dtype that holds n, which keeps the temporaries small.
-    near = dist.astype(np.min_scalar_type(n))
-    marks = np.unique(np.digitize(np.arange(0, len(tails), 1 + (1 << 16) // n), starts) - 1)
-    for a, b in zip(marks, np.r_[marks[1:], n]):
-        e = slice(starts[a], starts[b])
-        candidate = np.where(near[tails[e]] + 1 == near[heads[e]], tails[e, np.newaxis], n)
-        pred[:, a:b] = np.minimum.reduceat(candidate, starts[a:b] - starts[a], axis=0).T
-    pred[np.diag_indices(n)] = np.arange(n)
-    return dist, pred
+    pred, order, level = [-1] * g.n, [root], [root]
+    pred[root] = root
+    while level:
+        reached = []
+        for v in level:
+            for u in g.neighbors(v):
+                if pred[u] < 0:
+                    pred[u] = v
+                    reached.append(u)
+        reached.sort()
+        order += reached
+        level = reached
+    return order, pred
 
 
 def _unit_amplitudes(psi: np.ndarray) -> np.ndarray:
@@ -348,13 +335,10 @@ def _kappa_tree_pass(g: Graph, psi: np.ndarray) -> float:
     every load keeps its relative accuracy however small psi gets.
     """
     n, p, amp = g.n, (psi * psi).tolist(), psi.tolist()
-    parent, order, children = [0] + [-1] * (n - 1), [0], [[] for _ in range(n)]
-    for v in order:
-        for c in g.neighbors(v):
-            if parent[c] < 0:
-                parent[c] = v
-                children[v].append(c)
-                order.append(c)
+    order, parent = _bfs_tree(g, 0)
+    children = [[] for _ in range(n)]
+    for c in order[1:]:
+        children[parent[c]].append(c)
     step = [0.0] + [1.0 / (amp[c] * amp[parent[c]]) for c in range(1, n)]
     s_sub, q_sub, branch = p[:], [0.0] * n, [0.0] * n
     for c in order[:0:-1]:
@@ -379,46 +363,28 @@ def _kappa_bfs_sweep(g: Graph, psi: np.ndarray) -> float:
     """kappa' for the canonical paths of poincare_bound, from one BFS tree
     per source.
 
-    For each source x, length[x, v] is the inverse-flow length of the tree
-    path from x to v, and below[x, v] sums psi_y^2 length[x, y] over the
-    y > x in the subtree of v.  The edge (pred[x, v], v) then carries
-    2 psi_x^2 below[x, v]; the factor 2 counts the reversed pairs.  All
-    sources are swept together, one hop level at a time: O(n (n + m)) work
-    and O(n^2) memory.
+    For each source x, length[v] is the inverse-flow length of the tree path
+    from x to v, summed down the BFS order, and below[v] sums
+    psi_y^2 length[y] over the y > x in the subtree of v, summed back up it.
+    The edge (pred[v], v) then carries 2 psi_x^2 below[v]; the factor 2
+    counts the reversed pairs.  O(n (n + m)) time and O(n + m) memory.
     """
-    n = g.n
-    dist, pred = _bfs_predecessors(g)
-    # Entries (x, v) sorted by hop level, so that each level is one slice and
-    # the n diagonal entries (level 0) come first.  length and below are
-    # indexed by this sorted position.
-    order = np.argsort(dist, axis=None, kind="stable")
-    level_end = np.cumsum(np.bincount(dist.ravel()))
-    levels = [slice(a, b) for a, b in zip(np.r_[0, level_end[:-1]], level_end)]
-    rows, cols = np.divmod(order, n)
-    parents = pred.ravel()[order]
-    position = np.empty(n * n, dtype=np.intp)
-    position[order] = np.arange(n * n)
-    up = position[rows * n + parents]    # sorted position of each tree parent
-    step = 1.0 / (psi[cols] * psi[parents])
-    length = np.zeros(n * n)
-    for lv in levels[1:]:
-        length[lv] = length[up[lv]] + step[lv]
-    p2 = psi**2
-    below = np.where(cols > rows, p2[cols] * length, 0.0)
-    for parent_lv, lv in zip(levels[-2::-1], levels[:0:-1]):
-        below[parent_lv] += np.bincount(
-            up[lv] - parent_lv.start, weights=below[lv], minlength=parent_lv.stop - parent_lv.start
-        )
-    edge_id = np.zeros((n, n), dtype=np.intp)
-    x, y = g.edge_index
-    edge_id[x, y] = edge_id[y, x] = np.arange(len(g.edges))
-    off = slice(n, None)
-    load = np.bincount(
-        edge_id[parents[off], cols[off]],
-        weights=2.0 * p2[rows[off]] * below[off],
-        minlength=len(g.edges),
-    )
-    return float(load.max())
+    n, p, amp = g.n, (psi * psi).tolist(), psi.tolist()
+    edge_id = {}
+    for i, (a, b) in enumerate(g.edges):
+        edge_id[a, b] = edge_id[b, a] = i
+    load = [0.0] * len(g.edges)
+    for x in range(n - 1):
+        order, pred = _bfs_tree(g, x)
+        length = [0.0] * n
+        for v in order[1:]:
+            length[v] = length[pred[v]] + 1.0 / (amp[v] * amp[pred[v]])
+        below = [p[y] * length[y] if y > x else 0.0 for y in range(n)]
+        weight = 2.0 * p[x]
+        for v in order[:0:-1]:
+            below[pred[v]] += below[v]
+            load[edge_id[pred[v], v]] += weight * below[v]
+    return max(load)
 
 
 def poincare_bound(g: Graph, spectrum: Spectrum) -> float:
@@ -432,7 +398,7 @@ def poincare_bound(g: Graph, spectrum: Spectrum) -> float:
     of the solved `spectrum`; the ground energy cancels from the final
     bound, so no shift is needed.  On a tree every path is the tree path, so
     kappa' takes one pass up and one down the tree, O(n); other graphs sweep
-    all BFS trees, O(n (n + m)) time and O(n^2) memory.  Raises DomainError
+    all BFS trees, O(n (n + m)) time and O(n + m) memory.  Raises DomainError
     below 2 vertices, and PreconditionError when the ground state has an
     entry <= 0 or so small that kappa' is not finite in float64.
     """

@@ -513,9 +513,9 @@ def graph_of(family, rng, n):
     return (random_tree if family == "tree" else random_connected_graph)(rng, n)
 
 
-def exact_tree_kappa(g, psi):
-    """kappa' of a tree at unit psi in exact rationals, one pair at a time:
-    each pair loads every edge of its tree path."""
+def exact_kappa(g, psi):
+    """kappa' at unit psi in exact rationals, one pair at a time: each pair
+    loads every edge of its canonical path, traced through bfs_tree."""
     q = [Fraction(v) for v in psi]
     norm2 = sum(v * v for v in q)
     load = {e: Fraction(0) for e in g.edges}
@@ -537,14 +537,16 @@ def spectrum_with(psi):
 
 
 class TestBfsPredecessors:
-    """_bfs_predecessors against a plain deque BFS per source."""
+    """_bfs_tree against a plain deque BFS from every source."""
 
     def check(self, g):
-        dist, pred = bounds._bfs_predecessors(g)
         for x in range(g.n):
+            order, pred = bounds._bfs_tree(g, x)
             ref_dist, ref_pred = bfs_tree(g, x)
-            assert dist[x].tolist() == [ref_dist[v] for v in range(g.n)]
-            assert pred[x].tolist() == [ref_pred[v] for v in range(g.n)]
+            assert order[0] == x and sorted(order) == list(range(g.n))
+            hops = [ref_dist[v] for v in order]
+            assert hops == sorted(hops)
+            assert pred == [ref_pred[v] for v in range(g.n)]
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(1, 30), st.floats(0.0, 0.8), st.integers(0, 10_000))
@@ -560,24 +562,19 @@ class TestBfsPredecessors:
         # all of them; the lowest index must win.
         self.check(graphcore.Graph(7, [(a, b) for a in range(3) for b in range(3, 7)]))
 
-    def test_dense_graph_over_several_head_groups(self):
-        # About 5000 directed edges: the in-edges are taken in several groups.
+    def test_dense_graph(self):
+        # About 5000 directed edges: each vertex two hops out has dozens of
+        # neighbours one hop out, and the lowest index must win.
         self.check(random_connected_graph(np.random.default_rng(3), 80, 0.8))
 
-    def test_complete_graph_memory_stays_quadratic(self):
-        # K300 has 89700 directed edges; one (sources, edges) table of int64
-        # would take 205 MiB.
+    def test_complete_graph(self):
+        # Every other vertex of K300 is one hop from the source.
         n = 300
         g = graphcore.Graph(n, list(itertools.combinations(range(n), 2)))
-        tracemalloc.start()
-        try:
-            dist, pred = bounds._bfs_predecessors(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
-        assert (dist == 1 - np.eye(n, dtype=int)).all()
-        assert (pred == np.arange(n)[:, np.newaxis]).all()
+        for x in range(n):
+            order, pred = bounds._bfs_tree(g, x)
+            assert order[0] == x and sorted(order) == list(range(n))
+            assert pred == [x] * n
 
     @pytest.mark.parametrize("l", [2, 6])
     def test_relabelled_caterpillars(self, l):
@@ -618,16 +615,17 @@ class TestTreePoincare:
     def test_tree_pass_matches_exact_rationals(self, seed):
         # Amplitudes spread over 120 decades.  Forming a subtree's outside
         # mass as total minus inside loses it next to an O(1) mass and fails
-        # this test; every sum in the tree pass has positive terms only.
+        # this test; every sum in the tree pass, and in the BFS sweep that
+        # the "graph" family reaches, has positive terms only.
         rng = np.random.default_rng(seed)
-        for family in ("tree", "star", "path"):
+        for family in ("tree", "star", "path", "graph"):
             n = int(rng.integers(2, 25))
             g = graphcore.build_path(n) if family == "path" else graph_of(family, rng, n)
             g, _ = relabelled(rng, g, flat(n))
             psi = 10.0 ** rng.uniform(-120, 0, n)
             psi /= math.hypot(*psi)
             kappa = 1 / bounds.poincare_bound(g, spectrum_with(psi))
-            exact = exact_tree_kappa(g, psi)
+            exact = exact_kappa(g, psi)
             assert abs(Fraction(kappa) / exact - 1) <= 1e-14
 
     def test_bfs_sweep_runs_only_off_trees(self, monkeypatch):
@@ -636,10 +634,10 @@ class TestTreePoincare:
         trees = [(caterpillar, solve(caterpillar, w)), (path, solve(path, flat(50)))]
         expected = [reference_bound(g, spec) for g, spec in trees]
 
-        def refuse(g):
+        def refuse(g, psi):
             raise AssertionError("BFS sweep")
 
-        monkeypatch.setattr(bounds, "_bfs_predecessors", refuse)
+        monkeypatch.setattr(bounds, "_kappa_bfs_sweep", refuse)
         for (g, spec), reference in zip(trees, expected):
             assert bounds.poincare_bound(g, spec) == pytest.approx(reference, rel=1e-12)
         cycle = graphcore.Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
