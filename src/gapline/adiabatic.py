@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .graphcore import Graph, Potential, check_length, is_single_peaked
-from .spectral import DEFAULT_TOL, Hamiltonian, laplacian, solve_ground_and_gap
+from .spectral import Hamiltonian, laplacian, solve_ground_and_gap
 
 BULK = "bulk"
 ENDGAME = "endgame"
@@ -30,7 +30,6 @@ class ScheduleSample:
     gamma_exact: float
     gamma_bound: float | None   # None when the single-peaked precondition fails
     regime: str                 # BULK or ENDGAME
-    single_peaked: bool
 
 
 def bulk_gap_floor(g: Graph, w: Potential, s: float) -> float:
@@ -49,12 +48,13 @@ def endgame_onset(g: Graph) -> float:
     return 1.0 - 1.0 / (8.0 * g.max_degree)
 
 
-def gap_sweep(g: Graph, w: Potential, grid, tol: float = DEFAULT_TOL) -> list[ScheduleSample]:
+def gap_sweep(g: Graph, w: Potential, grid) -> list[ScheduleSample]:
     """Exact gap and analytic floor at each grid point.
 
-    At each s < 1 the solved ground state is tested for single-peakedness;
-    samples failing the test carry gamma_bound = None rather than a floor
-    that does not apply.  s = 1 is handled by direct diagonal inspection.
+    At each s < 1 the ground state, solved under the fixed residual gate
+    spectral.RESIDUAL_TOL, is tested for single-peakedness; samples failing
+    the test carry gamma_bound = None rather than a floor that does not
+    apply.  s = 1 is handled by direct diagonal inspection.
     """
     grid = list(grid)
     if not grid:
@@ -74,13 +74,12 @@ def gap_sweep(g: Graph, w: Potential, grid, tol: float = DEFAULT_TOL) -> list[Sc
                     gamma_exact=float(vals[1] - vals[0]),
                     gamma_bound=None,
                     regime=ENDGAME,
-                    single_peaked=False,
                 )
             )
             continue
         m = (1.0 - s) * lap
         m[np.diag_indices(g.n)] += s * w.values
-        spectrum = solve_ground_and_gap(Hamiltonian(m), tol=tol)
+        spectrum = solve_ground_and_gap(Hamiltonian(m))
         # Close to s = 1 amplitudes fall below their error bar; the peak
         # structure is then not certifiable and the bulk floor is withheld.
         peaked = spectrum.positive and is_single_peaked(g, spectrum.psi, tol=spectrum.psi_err)
@@ -90,7 +89,6 @@ def gap_sweep(g: Graph, w: Potential, grid, tol: float = DEFAULT_TOL) -> list[Sc
                 gamma_exact=spectrum.gap,
                 gamma_bound=bulk_gap_floor(g, w, s) if peaked else None,
                 regime=ENDGAME if s >= onset else BULK,
-                single_peaked=peaked,
             )
         )
     return samples
@@ -167,8 +165,11 @@ def switching_schedule(x: float | np.ndarray) -> float | np.ndarray:
     saturated right tail stays exactly monotone instead of wobbling at
     machine precision; the folded points are sorted and the bump integrated
     once over each gap between neighbours.  A scalar is a single integral.
+    NaN raises DomainError; -inf and inf map to 0 and 1.
     """
     xs = np.asarray(x, dtype=float)
+    if np.isnan(xs).any():
+        raise DomainError("switching schedule is undefined at NaN")
     right = np.atleast_1d(xs) > 0.5
     folded = np.clip(np.where(right, 1.0 - xs, xs), 0.0, 0.5)
     points, position = np.unique(folded, return_inverse=True)

@@ -216,7 +216,6 @@ class SandwichBounds:
 
     lower: float
     upper: float
-    phi: float
     shifted_energy: float
     conductance: ConductanceReport
 
@@ -240,7 +239,6 @@ def gap_sandwich(g: Graph, w: Potential, spectrum: Spectrum) -> SandwichBounds:
     return SandwichBounds(
         lower=-phi * phi / (2.0 * energy),
         upper=2.0 * phi,
-        phi=phi,
         shifted_energy=energy,
         conductance=report,
     )

@@ -71,7 +71,7 @@ def cmd_gen(args) -> int:
 
 def cmd_gap(args) -> int:
     g, w, _ = _load(args.file)
-    spec = spectral.solve_ground_and_gap(spectral.assemble(g, w), tol=args.tol)
+    spec = spectral.solve_ground_and_gap(spectral.assemble(g, w))
     _emit(
         json.dumps(
             {
@@ -108,13 +108,13 @@ def cmd_bounds(args) -> int:
     g, w, _ = _load(args.file)
     run_all = not (args.conductance or args.poincare or args.single_peaked or args.cut)
     out: dict = {}
-    spec = spectral.solve_ground_and_gap(spectral.assemble(g, w), tol=args.tol)
+    spec = spectral.solve_ground_and_gap(spectral.assemble(g, w))
     out["gap"] = spec.gap
 
     def conductance():
         sandwich = bounds.gap_sandwich(g, w, spec)
         return {
-            "phi": sandwich.phi,
+            "phi": sandwich.conductance.phi,
             "lower": sandwich.lower,
             "upper": sandwich.upper,
             "subset": list(sandwich.conductance.minimizer.subset),
@@ -150,13 +150,12 @@ def cmd_sweep(args) -> int:
         grid = list(np.linspace(0.0, 1.0, args.grid))
     else:
         grid = adiabatic.default_sweep_grid()
-    samples = adiabatic.gap_sweep(g, w, grid, tol=args.tol)
+    samples = adiabatic.gap_sweep(g, w, grid)
     lines = ["s,gamma,bound,regime,single_peaked"]
     for sm in samples:
-        bound = _fmt(sm.gamma_bound) if sm.gamma_bound is not None else "na"
-        lines.append(
-            f"{_fmt(sm.s)},{_fmt(sm.gamma_exact)},{bound},{sm.regime},{sm.single_peaked}"
-        )
+        peaked = sm.gamma_bound is not None
+        bound = _fmt(sm.gamma_bound) if peaked else "na"
+        lines.append(f"{_fmt(sm.s)},{_fmt(sm.gamma_exact)},{bound},{sm.regime},{peaked}")
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
@@ -200,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="ground energy, gap, and ground state")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gap)
 
@@ -210,14 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poincare", action="store_true")
     p.add_argument("--single-peaked", dest="single_peaked", action="store_true")
     p.add_argument("--cut", help="comma-separated vertex subset for cut_profile")
-    p.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sweep", help="gap sweep along the adiabatic schedule")
     p.add_argument("file")
     p.add_argument("--grid", type=int, default=None, help="uniform grid size on [0,1]")
-    p.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_sweep)
 

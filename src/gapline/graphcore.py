@@ -66,9 +66,6 @@ class Graph:
     def neighbors(self, x: int) -> tuple[int, ...]:
         return self._adj[x]
 
-    def degree(self, x: int) -> int:
-        return len(self._adj[x])
-
     @property
     def degrees(self) -> np.ndarray:
         return np.array([len(nbrs) for nbrs in self._adj], dtype=np.int64)

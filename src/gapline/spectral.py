@@ -17,7 +17,7 @@ import scipy.linalg
 from .errors import DimensionError, DomainError, SolverError
 from .graphcore import Graph, Potential, caterpillar_anchors, check_length
 
-DEFAULT_TOL = 1e-10
+RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +40,6 @@ class Spectrum:
     gap: float             # second-lowest eigenvalue minus E
     psi: np.ndarray        # unit-norm ground vector, sign-fixed positive
     residual: float        # max residual of the two eigenpairs over max(1, ||H||_inf)
-    tol: float
     gap_err: float = 0.0   # first-order bound on |gap - exact gap|
     psi_err: float = 0.0   # first-order bound on ||psi - exact psi||; inf when degenerate
 
@@ -72,22 +71,21 @@ def assemble(g: Graph, w: Potential) -> Hamiltonian:
     return Hamiltonian(matrix=m)
 
 
-def solve_ground_and_gap(h: Hamiltonian, tol: float = DEFAULT_TOL) -> Spectrum:
+def solve_ground_and_gap(h: Hamiltonian) -> Spectrum:
     """Two lowest eigenpairs by partial dense diagonalization.
 
     The residual ||r|| of both pairs is divided by max(1, ||H||_inf), which
     bounds every |eigenvalue|, before its norm is taken (so that no square
-    overflows) and checked against tol.  The unit ground vector is sign-fixed
-    by its largest-magnitude entry.  gap_err = 2 (||r|| + (k + 1) eps ||H||_inf),
-    with k the most nonzeros in a row of H, adds the rounding of the residual
-    itself (to first order); psi_err = sqrt(2) (gap_err / 2) / (gap - gap_err)
-    is the Davis-Kahan bound on ||psi - exact psi|| (Parlett, ch. 11), inf
-    once the gap is not resolved.  README states the premises of both.
+    overflows); above the fixed RESIDUAL_TOL it raises SolverError.  The
+    unit ground vector is sign-fixed by its largest-magnitude entry.
+    gap_err = 2 (||r|| + (k + 1) eps ||H||_inf), with k the most nonzeros in
+    a row of H, adds the rounding of the residual itself (to first order);
+    psi_err = sqrt(2) (gap_err / 2) / (gap - gap_err) is the Davis-Kahan
+    bound on ||psi - exact psi|| (Parlett, ch. 11), inf once the gap is not
+    resolved.  README states the premises of both.
     """
     if h.n < 2:
         raise DomainError("need at least 2 vertices to define a gap")
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
     scale = max(1.0, float(np.linalg.norm(h.matrix, np.inf)))
     res = math.inf
     # Inverse iteration on the partial range cannot split an exactly
@@ -100,11 +98,11 @@ def solve_ground_and_gap(h: Hamiltonian, tol: float = DEFAULT_TOL) -> Spectrum:
             continue
         vals, vecs = vals[:2], vecs[:, :2]
         res = float(np.linalg.norm((h.matrix @ vecs - vecs * vals) / scale, axis=0).max())
-        if res <= tol:
+        if res <= RESIDUAL_TOL:
             break
-    if res > tol:
+    if res > RESIDUAL_TOL:
         raise SolverError(
-            f"eigensolver residual {res:.3e} exceeds tolerance {tol:.3e}",
+            f"eigensolver residual {res:.3e} exceeds tolerance {RESIDUAL_TOL:.3e}",
             residual=res,
         )
     energy = float(vals[0])
@@ -121,7 +119,6 @@ def solve_ground_and_gap(h: Hamiltonian, tol: float = DEFAULT_TOL) -> Spectrum:
         gap=gap,
         psi=psi,
         residual=res,
-        tol=tol,
         gap_err=gap_err,
         psi_err=psi_err,
     )

@@ -203,6 +203,18 @@ class TestSwitchingSchedule:
         assert vals[0] == 0.0 and vals[-1] == 1.0
         assert isinstance(adiabatic.switching_schedule(0.3), float)
 
+    def test_nan_refused(self):
+        with pytest.raises(DomainError, match="NaN"):
+            adiabatic.switching_schedule(math.nan)
+        with pytest.raises(DomainError, match="NaN"):
+            adiabatic.switching_schedule(np.array([0.2, math.nan, 0.7]))
+
+    def test_infinities_saturate(self):
+        assert adiabatic.switching_schedule(-math.inf) == 0.0
+        assert adiabatic.switching_schedule(math.inf) == 1.0
+        vals = adiabatic.switching_schedule(np.array([math.inf, 0.5, -math.inf]))
+        assert vals[0] == 1.0 and vals[2] == 0.0
+
     def test_derivative_matches_finite_differences(self):
         h = 1e-5
         for x in np.linspace(0.05, 0.95, 19):

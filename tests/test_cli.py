@@ -1,10 +1,13 @@
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from hypothesis import strategies as st
 
 from gapline import cli, graphcore, spectral, verify
 from gapline.errors import ConsistencyError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -71,14 +76,14 @@ class TestGap:
         assert code == 2
 
     @pytest.mark.parametrize("command", ["gap", "bounds", "sweep"])
-    def test_nan_tolerance_refused(self, tmp_path, capsys, command):
-        # NaN fails `tol <= 0` too, so only `not tol > 0` refuses it.
+    def test_tolerance_option_is_usage_error(self, tmp_path, capsys, command):
+        # The residual tolerance is fixed; `--tol` is an unknown option.
         out = tmp_path / "p.json"
         run(capsys, "gen", "path", "--l", "4", "-o", str(out))
-        code, stdout, err = run(capsys, command, str(out), "--tol", "nan")
+        code, stdout, err = run(capsys, command, str(out), "--tol", "1e-6")
         assert code == 2
         assert stdout == ""
-        assert err.startswith("error: ") and "tolerance" in err
+        assert "unrecognized arguments: --tol" in err
 
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -373,25 +378,14 @@ class TestParser:
     def test_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 
-    def test_back_to_back_calls_get_fresh_defaults(self, tmp_path, capsys, monkeypatch):
+    def test_back_to_back_calls_get_fresh_defaults(self, tmp_path, capsys):
         out = tmp_path / "p.json"
         run(capsys, "gen", "path", "--l", "4", "-o", str(out))
-        original = spectral.solve_ground_and_gap
-        tols = []
-
-        def recording(h, tol=spectral.DEFAULT_TOL):
-            tols.append(tol)
-            return original(h, tol=tol)
-
-        monkeypatch.setattr(spectral, "solve_ground_and_gap", recording)
-        assert run(capsys, "gap", str(out), "--tol", "1e-6")[0] == 0
-        assert run(capsys, "gap", str(out))[0] == 0
-        code, payload, _ = run(capsys, "bounds", str(out), "--conductance", "--tol", "1e-7")
+        code, payload, _ = run(capsys, "bounds", str(out), "--conductance")
         assert code == 0 and set(json.loads(payload)) == {"gap", "conductance"}
         code, payload, _ = run(capsys, "bounds", str(out))
         assert code == 0
         assert set(json.loads(payload)) == {"gap", "conductance", "poincare", "single_peaked"}
-        assert tols == [1e-6, spectral.DEFAULT_TOL, 1e-7, spectral.DEFAULT_TOL]
         code, payload, _ = run(capsys, "sweep", str(out), "--grid", "5")
         assert code == 0 and len(payload.splitlines()) == 6
         code, payload, _ = run(capsys, "sweep", str(out))
@@ -399,6 +393,35 @@ class TestParser:
         assert run(capsys, "gen", "path", "--l", "3")[0] == 0
         code, payload, _ = run(capsys, "gap", str(out))
         assert code == 0 and "residual" in json.loads(payload)
+
+
+class TestReadme:
+    @staticmethod
+    def long_options() -> dict[str, set[str]]:
+        """Each subcommand's long options, as `build_parser()` defines them."""
+        sub = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        return {
+            name: {o for a in p._actions for o in a.option_strings if o.startswith("--")}
+            for name, p in sub.choices.items()
+        }
+
+    def test_every_option_is_documented(self):
+        text = README.read_text()
+        options = set().union(*self.long_options().values())
+        # `--l` must not match inside `--lmax`.
+        missing = {o for o in options if not re.search(rf"{re.escape(o)}(?![\w-])", text)}
+        assert missing == set()
+
+    def test_documented_command_lines_use_defined_options(self):
+        options = self.long_options()
+        lines = [line for line in README.read_text().splitlines() if line.startswith("gapline ")]
+        assert lines
+        for line in lines:
+            command = line.split()[1]
+            used = set(re.findall(r"--[\w-]+", line.split("#")[0]))
+            assert used <= options[command], line
 
 
 class TestUsage:
