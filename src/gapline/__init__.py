@@ -26,7 +26,6 @@ from .bounds import (
     conductance_exact,
     cut_profile,
     gap_sandwich,
-    normalize_potential,
     poincare_bound,
     single_peaked_gap_bound,
 )

@@ -136,9 +136,12 @@ def rescale_to_unit_final_gap(w: Potential) -> tuple[Potential, float]:
 
 
 def _bump(y: float) -> float:
-    if y <= 0.0 or y >= 1.0:
-        return 0.0
-    return math.exp(-1.0 / (y * (1.0 - y)))
+    # quad's nodes lie inside (0, 1), so the NaN check is off its path.
+    if 0.0 < y < 1.0:
+        return math.exp(-1.0 / (y * (1.0 - y)))
+    if math.isnan(y):
+        raise DomainError("switching derivative is undefined at NaN")
+    return 0.0
 
 
 @functools.cache
@@ -153,7 +156,8 @@ def _beta() -> float:
 
 
 def switching_derivative(x: float) -> float:
-    """g(x) = beta exp(-1/(x(1-x))) on (0,1), zero elsewhere; C-infinity."""
+    """g(x) = beta exp(-1/(x(1-x))) on (0,1), zero elsewhere; C-infinity.
+    NaN raises DomainError; -inf and inf map to 0."""
     return _beta() * _bump(x)
 
 

@@ -2,8 +2,8 @@
 and Poincare canonical-path bounds, whose load takes O(n) on a tree.
 
 The bridge between Hamiltonians and random walks is the similarity transform
-P = (1/E) D^-1 H D with D = diag(psi), valid once the potential has been
-shifted below -d_G so that E < 0 and the walk is aperiodic.
+P = (1/E) D^-1 H D with D = diag(psi); build_walk_matrix first shifts the
+potential below -d_G, so that E < 0 and the walk is aperiodic.
 """
 
 from __future__ import annotations
@@ -34,23 +34,20 @@ ROW_SUM_TOL = 1e-9
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
-def normalize_potential(g: Graph, w: Potential) -> tuple[Potential, float]:
-    """Shift w down by W_max + d_G + 1 so all entries fall strictly below -d_G.
-
-    The extra +1 beyond the minimal shift keeps every walk diagonal strictly
-    positive (aperiodicity margin).  Gap and ground state are unchanged;
-    returns (shifted potential, shift).
-    """
-    shift = float(w.values.max()) + g.max_degree + 1.0
-    return w.shifted(-shift), shift
+def _shift(g: Graph, w: Potential) -> float:
+    """W_max + d_G + 1: taken off w, it puts every entry below -d_G with a
+    margin of 1 that keeps every walk diagonal positive (aperiodicity)."""
+    check_length(g, len(w), "potential")
+    return float(w.values.max()) + g.max_degree + 1.0
 
 
 @dataclass(frozen=True, eq=False)
 class WalkMatrix:
-    """Row-stochastic reversible walk similar to H/E."""
+    """Row-stochastic reversible walk similar to H'/E', H' = H shifted by -shift."""
 
     matrix: np.ndarray        # P
     stationary: np.ndarray    # pi = psi^2 (unit psi)
+    shifted_energy: float     # E' = E - shift < 0; gap of H = -E' (1 - lambda_2(P))
 
     def spectral_gap(self) -> float:
         """1 minus the second-largest eigenvalue of P.
@@ -64,32 +61,25 @@ class WalkMatrix:
         return float(1.0 - vals[-2])
 
 
-def build_walk_matrix(g: Graph, w_shifted: Potential, spectrum: Spectrum) -> WalkMatrix:
-    """Similarity transform of the Hamiltonian into a random walk.
+def build_walk_matrix(g: Graph, w: Potential, spectrum: Spectrum) -> WalkMatrix:
+    """Similarity transform P = (1/E') D^-1 H' D, D = diag(psi), into a walk.
 
-    Requires the shifted potential strictly below -d_G (so E < 0 and the
-    walk is ergodic).  The stationary distribution is psi^2.
+    `spectrum` is the solved spectrum of the unshifted assemble(g, w), whose
+    psi must be resolved positive (else PreconditionError).  H' has w shifted
+    below -d_G, so E' = E - shift < 0 and P >= 0 with a positive diagonal.
     """
-    if np.any(w_shifted.values >= -g.max_degree):
-        raise PreconditionError(
-            "walk transform requires all potential entries strictly below -d_G; "
-            "apply normalize_potential first"
-        )
-    if spectrum.energy >= 0:
-        raise DomainError(
-            f"walk transform undefined for ground energy {spectrum.energy} >= 0"
-        )
-    h = assemble(g, w_shifted).matrix
+    _require_positive(g, spectrum, "walk transform")
+    shift = _shift(g, w)
+    energy = spectrum.energy - shift
+    h = assemble(g, w.shifted(-shift)).matrix
     psi = spectrum.psi
-    p = (h * psi[np.newaxis, :] / psi[:, np.newaxis]) / spectrum.energy
-    rows = p.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > ROW_SUM_TOL:
-        raise ConsistencyError(
-            f"walk matrix row sums deviate by {np.max(np.abs(rows - 1.0)):.3e}"
-        )
+    p = (h * psi[np.newaxis, :] / psi[:, np.newaxis]) / energy
+    deviation = np.max(np.abs(p.sum(axis=1) - 1.0))
+    if not deviation <= ROW_SUM_TOL:
+        raise ConsistencyError(f"walk matrix row sums deviate by {deviation:.3e}")
     pi = psi**2
     pi = pi / pi.sum()
-    return WalkMatrix(matrix=p, stationary=pi)
+    return WalkMatrix(matrix=p, stationary=pi, shifted_energy=energy)
 
 
 @dataclass(frozen=True)
@@ -232,8 +222,7 @@ def gap_sandwich(g: Graph, w: Potential, spectrum: Spectrum) -> SandwichBounds:
     if not g.is_connected():
         raise StructureError("conductance sandwich requires a connected graph")
     _require_positive(g, spectrum, "conductance sandwich")
-    _, shift = normalize_potential(g, w)
-    energy = spectrum.energy - shift
+    energy = spectrum.energy - _shift(g, w)
     report = conductance_exact(g, spectrum.psi)
     phi = report.phi
     return SandwichBounds(
@@ -262,6 +251,7 @@ def single_peaked_gap_bound(g: Graph, w: Potential, spectrum: Spectrum) -> float
     """
     if g.n < 2:
         raise DomainError("single-peaked bound needs at least 2 vertices")
+    check_length(g, len(w), "potential")
     _require_positive(g, spectrum, "single-peaked bound")
     maxima = local_maxima(g, spectrum.psi, tol=spectrum.psi_err)
     parts = connected_components(g, maxima)

@@ -174,15 +174,15 @@ def test_criterion_8_walk_matrix_contracts(capsys):
         rng = np.random.default_rng([8, seed])
         n = int(rng.integers(3, 11))
         g = random_connected_graph(rng, n)
-        w_shifted, _ = bounds.normalize_potential(g, random_potential(rng, n))
-        spec = spectral.solve_ground_and_gap(spectral.assemble(g, w_shifted))
-        walk = bounds.build_walk_matrix(g, w_shifted, spec)
+        w = random_potential(rng, n)
+        spec = spectral.solve_ground_and_gap(spectral.assemble(g, w))
+        walk = bounds.build_walk_matrix(g, w, spec)
         p, pi = walk.matrix, walk.stationary
         worst_rows = max(worst_rows, float(np.max(np.abs(p.sum(axis=1) - 1.0))))
         flow = pi[:, None] * p
         worst_balance = max(worst_balance, float(np.max(np.abs(flow - flow.T))))
         worst_gap = max(
-            worst_gap, abs((-spec.energy) * walk.spectral_gap() - spec.gap)
+            worst_gap, abs(-walk.shifted_energy * walk.spectral_gap() - spec.gap)
         )
     if worst_rows > 1e-12 or worst_balance > 1e-12 or worst_gap > 1e-8:
         ok = False

@@ -215,6 +215,12 @@ class TestSwitchingSchedule:
         vals = adiabatic.switching_schedule(np.array([math.inf, 0.5, -math.inf]))
         assert vals[0] == 1.0 and vals[2] == 0.0
 
+    def test_derivative_refuses_nan(self):
+        with pytest.raises(DomainError, match="NaN"):
+            adiabatic.switching_derivative(math.nan)
+        assert adiabatic.switching_derivative(-math.inf) == 0.0
+        assert adiabatic.switching_derivative(math.inf) == 0.0
+
     def test_derivative_matches_finite_differences(self):
         h = 1e-5
         for x in np.linspace(0.05, 0.95, 19):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from gapline import bounds, graphcore, spectral
 from gapline.errors import (
+    ConsistencyError,
     DimensionError,
     DomainError,
     PreconditionError,
@@ -34,37 +35,13 @@ def solve(g, w):
     return spectral.solve_ground_and_gap(spectral.assemble(g, w))
 
 
-class TestNormalizePotential:
-    def test_path3_shift(self):
-        g = graphcore.build_path(3)
-        w2, shift = bounds.normalize_potential(g, flat(3))
-        assert shift == 3.0
-        assert np.array_equal(w2.values, [-3, -3, -3])
-
-    def test_resulting_hamiltonian_nonpositive(self):
-        rng = np.random.default_rng(0)
-        g = random_connected_graph(rng, 8)
-        w2, _ = bounds.normalize_potential(g, random_potential(rng, 8))
-        h = spectral.assemble(g, w2).matrix
-        assert np.all(h <= 0)
-        assert solve(g, w2).energy < 0
-
-    def test_gap_preserved(self):
-        rng = np.random.default_rng(1)
-        g = random_connected_graph(rng, 7)
-        w = random_potential(rng, 7)
-        w2, _ = bounds.normalize_potential(g, w)
-        assert solve(g, w2).gap == pytest.approx(solve(g, w).gap, abs=1e-10)
-
-
 class TestBuildWalkMatrix:
     def test_two_vertex_hand_computation(self):
+        # shift is W_max + d_G + 1 = 2: H' = [[-1, -1], [-1, -1]], E' = -2
         g = graphcore.build_path(2)
-        w = graphcore.Potential([-3.0, -3.0])
-        walk = bounds.build_walk_matrix(g, w, solve(g, w))
-        np.testing.assert_allclose(
-            walk.matrix, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]], atol=1e-12
-        )
+        walk = bounds.build_walk_matrix(g, flat(2), solve(g, flat(2)))
+        assert walk.shifted_energy == pytest.approx(-2.0)
+        np.testing.assert_allclose(walk.matrix, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
         assert walk.stationary == pytest.approx([0.5, 0.5])
 
     def test_contracts_on_random_instances(self):
@@ -72,7 +49,7 @@ class TestBuildWalkMatrix:
         for _ in range(25):
             n = int(rng.integers(3, 11))
             g = random_connected_graph(rng, n)
-            w, _ = bounds.normalize_potential(g, random_potential(rng, n))
+            w = random_potential(rng, n)
             spec = solve(g, w)
             walk = bounds.build_walk_matrix(g, w, spec)
             p, pi = walk.matrix, walk.stationary
@@ -83,7 +60,7 @@ class TestBuildWalkMatrix:
             assert np.max(np.abs(flow - flow.T)) <= 1e-12  # detailed balance
             assert pi @ p == pytest.approx(pi, abs=1e-12)  # left fixed point
             # walk gap corresponds to the Hamiltonian gap
-            assert (-spec.energy) * walk.spectral_gap() == pytest.approx(
+            assert -walk.shifted_energy * walk.spectral_gap() == pytest.approx(
                 spec.gap, abs=1e-8
             )
 
@@ -94,11 +71,32 @@ class TestBuildWalkMatrix:
         a, b = bounds.build_walk_matrix(g, w, spec), bounds.build_walk_matrix(g, w, spec)
         assert a == a and a != b and len({a, b}) == 2
 
-    def test_unshifted_potential_rejected(self):
-        g = graphcore.build_path(2)
-        w = flat(2)
-        with pytest.raises(PreconditionError):
+    def test_unresolved_ground_state_refused(self):
+        # The ground state lives on the first component: psi = [0.707, 0.707, 0, 0],
+        # whose zeros would divide into two NaN rows.
+        g = graphcore.Graph(4, [(0, 1), (2, 3)])
+        w = graphcore.Potential([0.0, 0.0, 1.0, 1.0])
+        with pytest.raises(PreconditionError, match="walk transform.*resolved positive"):
             bounds.build_walk_matrix(g, w, solve(g, w))
+
+    def test_nan_row_sums_fail_the_gate(self):
+        g = graphcore.build_path(2)
+        psi = np.array([0.6, 0.8])
+        spec = spectral.Spectrum(energy=math.nan, gap=1.0, psi=psi, residual=0.0)
+        with pytest.raises(ConsistencyError, match="row sums deviate by nan"):
+            bounds.build_walk_matrix(g, flat(2), spec)
+
+    def test_one_solve_serves_every_bound(self):
+        g = graphcore.build_path(5)
+        w = graphcore.Potential([0.4, -0.3, 0.1, 0.2, 0.5])
+        spec = solve(g, w)
+        sandwich = bounds.gap_sandwich(g, w, spec)
+        floor = bounds.single_peaked_gap_bound(g, w, spec)
+        poincare = bounds.poincare_bound(g, spec)
+        walk = bounds.build_walk_matrix(g, w, spec)
+        assert walk.shifted_energy == sandwich.shifted_energy
+        assert -walk.shifted_energy * walk.spectral_gap() == pytest.approx(spec.gap, abs=1e-12)
+        assert max(sandwich.lower, floor, poincare) <= spec.gap <= sandwich.upper
 
 
 class TestCutProfile:
@@ -349,10 +347,10 @@ class TestGapSandwich:
         for _ in range(10):
             n = int(rng.integers(3, 10))
             g = random_connected_graph(rng, n)
-            w, _ = bounds.normalize_potential(g, random_potential(rng, n))
+            w = random_potential(rng, n)
             spec = solve(g, w)
             walk = bounds.build_walk_matrix(g, w, spec)
-            phi_p = bounds.conductance_exact(g, spec.psi).phi / (-spec.energy)
+            phi_p = bounds.conductance_exact(g, spec.psi).phi / -walk.shifted_energy
             gap_p = walk.spectral_gap()
             assert phi_p**2 / 2 - 1e-10 <= gap_p <= 2 * phi_p + 1e-10
 
@@ -700,7 +698,7 @@ class TestSpectrumInput:
         spec = spectral.Spectrum(
             energy=0.0, gap=1.0, psi=psi, residual=0.0, psi_err=psi_err
         )
-        for bound in (bounds.gap_sandwich, bounds.single_peaked_gap_bound):
+        for bound in (bounds.gap_sandwich, bounds.single_peaked_gap_bound, bounds.build_walk_matrix):
             with pytest.raises(PreconditionError, match="resolved positive"):
                 bound(g, flat(3), spec)
 
@@ -729,3 +727,16 @@ class TestSpectrumInput:
             bounds.single_peaked_gap_bound(g, flat(4), spec)
         with pytest.raises(DimensionError):
             bounds.poincare_bound(g, spec)
+
+    def test_potential_of_another_length_rejected(self):
+        # On the path 4 with W = [5, 0, 0, 5] a one-entry potential would
+        # shift by W_max + d_G + 1 from its own entry, not from W.
+        g = graphcore.build_path(4)
+        spec = solve(g, graphcore.Potential([5.0, 0.0, 0.0, 5.0]))
+        short = graphcore.Potential([spec.energy - 2.99])
+        with pytest.raises(DimensionError, match="potential has length 1"):
+            bounds.gap_sandwich(g, short, spec)
+        with pytest.raises(DimensionError, match="potential has length 1"):
+            bounds.single_peaked_gap_bound(g, graphcore.Potential([0.0]), spec)
+        with pytest.raises(DimensionError, match="potential has length 1"):
+            bounds.build_walk_matrix(g, short, spec)

@@ -423,6 +423,14 @@ class TestReadme:
             used = set(re.findall(r"--[\w-]+", line.split("#")[0]))
             assert used <= options[command], line
 
+    def test_library_example_runs(self, capsys):
+        (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+        exec(compile(block, "README.md", "exec"), {})
+        lines = capsys.readouterr().out.splitlines()
+        gap, ceiling = map(float, lines[0].split())
+        assert gap <= ceiling
+        assert float(lines[-1]) == pytest.approx(gap, rel=1e-9)
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
