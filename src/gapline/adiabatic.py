@@ -109,21 +109,17 @@ class EndgameBound:
 
     s_star: float        # endgame onset 1 - 1/(8 d_G)
     bound: float         # 1/2 - 1/(8 d_G); at least 7/16 once d_G >= 2
-    scale: float         # factor the potential was divided by
 
 
 def endgame_bound(g: Graph, w: Potential) -> EndgameBound:
     """Gershgorin/Weyl floor gamma(s) >= 1/2 - 1/(8 d_G) on [s_star, 1].
 
-    Requires a unique minimizer of W; W is rescaled so the second-lowest
-    value exceeds the lowest by exactly 1, and the factor is reported.
+    The floor holds once W is rescaled so the second-lowest value exceeds
+    the lowest by exactly 1; rescale_to_unit_final_gap refuses a repeated
+    minimum with PreconditionError.
     """
-    _, delta = rescale_to_unit_final_gap(w)
-    return EndgameBound(
-        s_star=endgame_onset(g),
-        bound=0.5 - 1.0 / (8.0 * g.max_degree),
-        scale=delta,
-    )
+    rescale_to_unit_final_gap(w)
+    return EndgameBound(s_star=endgame_onset(g), bound=0.5 - 1.0 / (8.0 * g.max_degree))
 
 
 def rescale_to_unit_final_gap(w: Potential) -> tuple[Potential, float]:

@@ -84,15 +84,14 @@ def build_walk_matrix(g: Graph, w: Potential, spectrum: Spectrum) -> WalkMatrix:
 
 @dataclass(frozen=True)
 class CutReport:
-    """Flow and masses of one vertex cut, in Hamiltonian units.
+    """Flow and ratio of one vertex cut, in Hamiltonian units.
 
-    flow = sum of psi(x)psi(y) over cut edges; ratio = flow / min(masses).
+    flow = sum of psi(x)psi(y) over cut edges; ratio = flow / min(masses),
+    each side's mass the sum of its psi(x)^2.
     """
 
     subset: tuple[int, ...]
     flow: float
-    mass_inside: float
-    mass_outside: float
     ratio: float
 
 
@@ -106,7 +105,7 @@ class ConductanceReport:
 
 
 def cut_profile(g: Graph, psi, subset) -> CutReport:
-    """Flow, masses, and ratio for one cut; 2*ratio upper-bounds the gap."""
+    """Flow and ratio for one cut; 2*ratio upper-bounds the gap."""
     psi = np.asarray(psi, dtype=float)
     check_length(g, len(psi), "vector")
     s = set(subset)
@@ -123,8 +122,6 @@ def cut_profile(g: Graph, psi, subset) -> CutReport:
     return CutReport(
         subset=tuple(sorted(s)),
         flow=float(flow),
-        mass_inside=inside,
-        mass_outside=outside,
         ratio=float(flow) / min(inside, outside),
     )
 

@@ -116,11 +116,6 @@ def connected_components(g: Graph, vertices) -> list[set[int]]:
     return parts
 
 
-def is_connected_subset(g: Graph, vertices) -> bool:
-    """True iff the induced subgraph on `vertices` is connected (empty counts)."""
-    return len(connected_components(g, vertices)) <= 1
-
-
 @dataclass(frozen=True, eq=False)
 class Potential:
     """Real-valued potential on the vertices of a graph; a value, like Graph."""
@@ -279,7 +274,7 @@ def is_single_peaked(g: Graph, psi, tol: float = 0.0) -> bool:
     check_length(g, len(psi), "vector")
     if np.any(psi <= 0):
         raise DomainError("single-peaked test requires strictly positive amplitudes")
-    return is_connected_subset(g, local_maxima(g, psi, tol=tol))
+    return len(connected_components(g, local_maxima(g, psi, tol=tol))) <= 1
 
 
 def read_graph(text: str) -> tuple[Graph, Potential, dict[str, int] | None]:

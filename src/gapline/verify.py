@@ -1,9 +1,10 @@
 """Cross-validation suite against the exact eigensolver on generated
 instances: the caterpillar's closed-form ground state, gap ceiling, gap decay
-rate and single basin; flat-chain gaps; the conductance sandwich; the walk
-transform; and the switching schedule.  The single-peaked, Poincare and
-endgame bounds are checked by the test suite only.  Used by the `verify` CLI
-subcommand and by the acceptance tests.
+rate and single basin; flat-chain gaps; the conductance sandwich and the walk
+transform, both read from one solve of each random instance; and the
+switching schedule.  The single-peaked, Poincare and endgame bounds are
+checked by the test suite only.  Used by the `verify` CLI subcommand and by
+the acceptance tests.
 """
 
 from __future__ import annotations
@@ -175,53 +176,44 @@ def check_flat_path_gaps(lmax: int) -> list[VerifyRow]:
 
 
 def check_sandwich(base_seed: int = 0) -> list[VerifyRow]:
-    """Conductance sandwich, with slack 1e-8, against the exact gap on 100
-    random instances with n = 3..12."""
-    rows = []
+    """On 100 random instances with n = 3..12, each drawn and solved once:
+    the conductance sandwich, with slack 1e-8, against the exact gap; and
+    the walk built from the same solve, its row sums and detailed balance
+    to 1e-12 and its gap -E' (1 - lambda_2(P)) to 1e-8.  The sandwich rows
+    come first, then the walk rows in the same instance order."""
+    sandwich_rows, walk_rows = [], []
     for seed in range(100):
         rng = np.random.default_rng([base_seed, seed])
         n = int(rng.integers(3, 13))
         g = random_connected_graph(rng, n)
         w = random_potential(rng, n)
         spec = spectral.solve_ground_and_gap(spectral.assemble(g, w))
+        instance = f"seed={seed} n={n}"
         sandwich = bounds.gap_sandwich(g, w, spec)
-        rows.append(
+        sandwich_rows.append(
             _row(
                 "conductance_sandwich",
-                f"seed={seed} n={n}",
+                instance,
                 f"{sandwich.lower:.3e} <= gap <= {sandwich.upper:.3e}",
                 f"{spec.gap:.3e}",
                 sandwich.lower - 1e-8 <= spec.gap <= sandwich.upper + 1e-8,
             )
         )
-    return rows
-
-
-def check_walk_contracts(base_seed: int = 0) -> list[VerifyRow]:
-    """Row sums, detailed balance, and gap -E' (1 - lambda_2(P)) of the walk
-    built from the one solve of assemble(g, w), on 50 instances, n = 3..10."""
-    rows = []
-    for seed in range(50):
-        rng = np.random.default_rng([base_seed, 10_000 + seed])
-        n = int(rng.integers(3, 11))
-        g = random_connected_graph(rng, n)
-        w = random_potential(rng, n)
-        spec = spectral.solve_ground_and_gap(spectral.assemble(g, w))
         walk = bounds.build_walk_matrix(g, w, spec)
         p, pi = walk.matrix, walk.stationary
         row_dev = float(np.max(np.abs(p.sum(axis=1) - 1.0)))
         balance_dev = float(np.max(np.abs(pi[:, None] * p - (pi[:, None] * p).T)))
         gap_dev = abs(-walk.shifted_energy * walk.spectral_gap() - spec.gap)
-        rows.append(
+        walk_rows.append(
             _row(
                 "walk_contracts",
-                f"seed={seed} n={n}",
+                instance,
                 "rows,balance<=1e-12; gap<=1e-8",
                 f"{row_dev:.1e},{balance_dev:.1e},{gap_dev:.1e}",
                 row_dev <= 1e-12 and balance_dev <= 1e-12 and gap_dev <= 1e-8,
             )
         )
-    return rows
+    return sandwich_rows + walk_rows
 
 
 def check_switching() -> list[VerifyRow]:
@@ -244,6 +236,5 @@ def run_verification(lmax: int = 10, seed: int = 0) -> list[VerifyRow]:
     rows += check_caterpillar_basin(lmax)
     rows += check_flat_path_gaps(lmax)
     rows += check_sandwich(base_seed=seed)
-    rows += check_walk_contracts(base_seed=seed)
     rows += check_switching()
     return rows

@@ -133,10 +133,12 @@ class TestEndgameBound:
         assert eb.s_star == pytest.approx(31 / 32)
         assert eb.bound == pytest.approx(15 / 32)
 
-    def test_reports_rescale_factor(self):
+    def test_rescale_factor_leaves_bound_unchanged(self):
         g = graphcore.build_path(3)
         w = graphcore.Potential([0.0, 0.5, 2.0])
-        assert adiabatic.endgame_bound(g, w).scale == pytest.approx(0.5)
+        unit, delta = adiabatic.rescale_to_unit_final_gap(w)
+        assert delta == pytest.approx(0.5)
+        assert adiabatic.endgame_bound(g, w) == adiabatic.endgame_bound(g, unit)
 
     def test_graph_without_edges_refused(self):
         with pytest.raises(PreconditionError, match="edges"):

@@ -126,7 +126,10 @@ class TestCutProfile:
         g = graphcore.build_path(4)
         psi = np.full(4, 0.5)
         report = bounds.cut_profile(g, psi, {0, 1})
-        assert report.mass_inside + report.mass_outside == pytest.approx(1.0)
+        inside = float(np.sum(psi[[0, 1]] ** 2))
+        outside = float(np.sum(psi[[2, 3]] ** 2))
+        assert inside + outside == pytest.approx(1.0)
+        assert report.ratio == pytest.approx(report.flow / min(inside, outside))
 
     def test_improper_subsets_rejected(self):
         g = graphcore.build_path(3)
@@ -135,6 +138,13 @@ class TestCutProfile:
             bounds.cut_profile(g, psi, set())
         with pytest.raises(DomainError):
             bounds.cut_profile(g, psi, {0, 1, 2})
+
+    @pytest.mark.parametrize("subset", [{0, 3}, {-1}])
+    def test_out_of_range_vertices_refused(self, subset):
+        # Without the check, 3 raises IndexError and -1 wraps to vertex 2.
+        g = graphcore.build_path(3)
+        with pytest.raises(DomainError, match="out-of-range"):
+            bounds.cut_profile(g, np.ones(3) / math.sqrt(3), subset)
 
     def test_zero_mass_side_refused(self):
         # psi^2 underflows to 0 on vertex 0; the ratio has no denominator.
@@ -177,7 +187,9 @@ class TestConductanceExact:
         psi = rng.uniform(0.1, 1.0, 9)
         psi /= np.linalg.norm(psi)
         report = bounds.conductance_exact(g, psi)
-        assert report.minimizer.mass_inside <= report.minimizer.mass_outside + 1e-15
+        inside = np.zeros(9, dtype=bool)
+        inside[list(report.minimizer.subset)] = True
+        assert np.sum(psi[inside] ** 2) <= np.sum(psi[~inside] ** 2) + 1e-15
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(2, 13), st.integers(0, 10_000))
@@ -192,9 +204,9 @@ class TestConductanceExact:
             for mask in range(1, 2 ** (n - 1))
         ]
         best = min(cuts, key=lambda cut: cut.ratio)
-        smaller = best.subset if best.mass_inside <= best.mass_outside else tuple(
-            v for v in range(n) if v not in best.subset
-        )
+        rest = tuple(v for v in range(n) if v not in best.subset)
+        inside, outside = (sum(psi[v] ** 2 for v in side) for side in (best.subset, rest))
+        smaller = best.subset if inside <= outside else rest
         assert report.phi == pytest.approx(best.ratio, rel=1e-12)
         assert report.minimizer.subset == smaller
         assert report.minimizer.ratio == pytest.approx(report.phi, rel=1e-12)
@@ -285,6 +297,23 @@ class TestConductanceExact:
         with pytest.raises(SizeGuardError):
             bounds.conductance_exact(g, np.ones(25) / 5.0)
 
+    def test_size_guard_admits_its_limit(self):
+        # n = 24 passes the guard and reaches the amplitude check, which
+        # refuses before any cut is enumerated.
+        psi = np.ones(24)
+        psi[5] = 0.0
+        with pytest.raises(DomainError, match="positive even when squared"):
+            bounds.conductance_exact(graphcore.build_path(24), psi)
+
+    def test_one_vertex_refused(self):
+        with pytest.raises(DomainError, match="at least 2 vertices"):
+            bounds.conductance_exact(graphcore.Graph(1, []), [1.0])
+
+    def test_amplitude_zero_when_squared_refused(self):
+        # 1e-200 is positive, but its square underflows to a zero mass.
+        with pytest.raises(DomainError, match="positive even when squared"):
+            bounds.conductance_exact(graphcore.build_path(3), [1e-200, 1.0, 1.0])
+
     def test_caterpillar_lobe_cut_upper_bound_scale(self):
         # a hand-chosen lobe cut certifies an exponentially small gap
         l = 6
@@ -366,6 +395,11 @@ class TestSinglePeakedGapBound:
         bound = bounds.single_peaked_gap_bound(g, flat(3), solve(g, flat(3)))
         assert bound == pytest.approx(1 / 36)
 
+    def test_two_vertices(self):
+        # 1 / (2 (|W| + d_G) |V|^2) = 1 / (2 (0.5 + 1) 4)
+        g, w = graphcore.build_path(2), graphcore.Potential([0.0, 0.5])
+        assert bounds.single_peaked_gap_bound(g, w, solve(g, w)) == pytest.approx(1 / 12)
+
     def test_bound_below_gap_when_applicable(self):
         rng = np.random.default_rng(41)
         checked = 0
@@ -438,6 +472,11 @@ class TestPoincareBound:
     def test_one_vertex_refused(self):
         with pytest.raises(DomainError, match="at least 2 vertices"):
             bounds.poincare_bound(graphcore.Graph(1, []), spectrum_with([1.0]))
+
+    def test_disconnected_refused(self):
+        g = graphcore.Graph(4, [(0, 1), (2, 3)])
+        with pytest.raises(StructureError, match="connected"):
+            bounds.poincare_bound(g, spectrum_with(np.full(4, 0.5)))
 
     def test_works_on_general_graphs(self):
         rng = np.random.default_rng(53)

@@ -367,6 +367,27 @@ class TestVerify:
         assert slope.check == "caterpillar_gap_slope" and slope.passed
         assert slope.instance == f"l=4..{max(resolved)}"
 
+    def test_sandwich_and_walk_rows_share_instances(self):
+        rows = verify.check_sandwich(0)
+        sandwich = [r.instance for r in rows if r.check == "conductance_sandwich"]
+        walk = [r.instance for r in rows if r.check == "walk_contracts"]
+        assert len(sandwich) == len(walk) == 100 and len(rows) == 200
+        assert sandwich == walk
+
+    def test_one_solve_per_instance(self, monkeypatch):
+        # 9 caterpillar gaps and 9 flat paths at l = 2..10, and one solve
+        # for each of the 100 random instances.
+        calls = []
+        solve = spectral.solve_ground_and_gap
+
+        def counted(h):
+            calls.append(h)
+            return solve(h)
+
+        monkeypatch.setattr(spectral, "solve_ground_and_gap", counted)
+        verify.run_verification(lmax=10)
+        assert len(calls) == 118
+
     def test_table_has_expected_rows(self, capsys):
         _, out, _ = run(capsys, "verify", "--lmax", "3")
         assert "caterpillar_residual" in out
