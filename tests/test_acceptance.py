@@ -10,13 +10,8 @@ import math
 import numpy as np
 
 from gapline import adiabatic, bounds, graphcore, spectral
-from gapline.verify import (
-    random_connected_graph,
-    random_potential,
-    random_single_basin_path_potential,
-    random_tree,
-    random_unique_min_potential,
-)
+from gapline.verify import random_connected_graph, random_potential, random_tree
+from potentials import random_single_basin_path_potential, random_unique_min_potential
 
 
 def report(capsys, num, name, passed, detail=""):

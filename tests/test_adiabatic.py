@@ -5,7 +5,8 @@ import pytest
 
 from gapline import adiabatic, graphcore, spectral
 from gapline.errors import DimensionError, DomainError, PreconditionError
-from gapline.verify import random_tree, random_unique_min_potential
+from gapline.verify import random_tree
+from potentials import random_unique_min_potential
 
 
 def flat(n):
@@ -186,15 +187,43 @@ class TestSwitchingSchedule:
             math.exp(-4.0) / total, rel=1e-10
         )
 
+    def test_matches_adaptive_quadrature(self):
+        import scipy.integrate
+
+        def integral(b):
+            return scipy.integrate.quad(
+                lambda y: math.exp(-1.0 / (y * (1.0 - y))), 0.0, b,
+                epsabs=1e-15, epsrel=1e-13,
+            )[0]
+
+        total = integral(1.0)
+
+        def reference(x):
+            if x <= 0.0 or x >= 1.0:
+                return float(x >= 1.0)
+            # s(x) = 1 - s(1 - x) keeps the right half as accurate as the left.
+            return integral(x) / total if x <= 0.5 else 1.0 - integral(1.0 - x) / total
+
+        grid = np.linspace(-0.05, 1.05, 1101)
+        expected = np.array([reference(x) for x in grid])
+        assert np.max(np.abs(adiabatic.switching_schedule(grid) - expected)) <= 1e-14
+        # 0.3 and 1 - 0.7 are a rounding apart once 0.7 is folded.
+        lone = [1e-3, 0.01, 0.5 - 1e-9, np.nextafter(0.5, 0.0), 0.5,
+                np.nextafter(0.5, 1.0), 0.5 + 1e-9, 0.99, 0.999, 0.3, 0.7]
+        for x in lone:
+            assert abs(adiabatic.switching_schedule(x) - reference(x)) <= 1e-14
+        pair = adiabatic.switching_schedule(np.array([0.3, 0.7]))
+        assert np.max(np.abs(pair - [reference(0.3), reference(0.7)])) <= 1e-14
+
     def test_monotone_dense_grid(self):
         xs = np.linspace(-0.05, 1.05, 2001)
         vals = [adiabatic.switching_schedule(float(x)) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_array_form_matches_scalar_form(self):
-        # One cumulative quadrature over the sorted folded points; shuffled
-        # input order must not matter, and the near-duplicate folded points
-        # (x and 1 - x' a rounding apart) must not trip quad.
+        # One pass of the rule over the sorted folded points; shuffled input
+        # order must not matter, nor must the near-duplicate folded points
+        # (x and 1 - x' a rounding apart).
         xs = np.linspace(-0.05, 1.05, 2001)
         scalar = np.array([adiabatic.switching_schedule(float(x)) for x in xs])
         perm = np.random.default_rng(0).permutation(len(xs))
@@ -204,6 +233,15 @@ class TestSwitchingSchedule:
         assert np.all(np.diff(vals) >= 0.0)
         assert vals[0] == 0.0 and vals[-1] == 1.0
         assert isinstance(adiabatic.switching_schedule(0.3), float)
+
+    def test_halves_meet_at_one_half(self):
+        # The rule reaches 1/2 only up to rounding, and on some point sets
+        # from above; the left half must still stay below the right half.
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            xs = np.r_[rng.uniform(0.0, 1.0, 20), 0.5, np.nextafter(0.5, 1.0)]
+            s = adiabatic.switching_schedule(xs)
+            assert np.all(s[xs <= 0.5] <= 0.5) and np.all(s[xs > 0.5] >= 0.5)
 
     def test_nan_refused(self):
         with pytest.raises(DomainError, match="NaN"):

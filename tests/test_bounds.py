@@ -19,12 +19,8 @@ from gapline.errors import (
     SizeGuardError,
     StructureError,
 )
-from gapline.verify import (
-    random_connected_graph,
-    random_potential,
-    random_single_basin_path_potential,
-    random_tree,
-)
+from gapline.verify import random_connected_graph, random_potential, random_tree
+from potentials import random_single_basin_path_potential
 
 
 def flat(n):

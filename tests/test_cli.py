@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -387,6 +388,21 @@ class TestVerify:
         monkeypatch.setattr(spectral, "solve_ground_and_gap", counted)
         verify.run_verification(lmax=10)
         assert len(calls) == 118
+
+    def test_does_not_load_scipy_integrate(self):
+        # A fresh interpreter, so no other test has imported the module.
+        script = (
+            "import contextlib, io, sys\n"
+            "from gapline import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify', '--lmax', '3']) == 0\n"
+            "print('scipy.integrate' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "False"
 
     def test_table_has_expected_rows(self, capsys):
         _, out, _ = run(capsys, "verify", "--lmax", "3")
