@@ -42,7 +42,6 @@ from .graphcore import (
     write_graph,
 )
 from .spectral import (
-    Hamiltonian,
     Spectrum,
     assemble,
     laplacian,

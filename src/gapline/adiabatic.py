@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .graphcore import Graph, Potential, check_length, is_single_peaked
-from .spectral import Hamiltonian, laplacian, solve_ground_and_gap
+from .spectral import laplacian, solve_ground_and_gap
 
 BULK = "bulk"
 ENDGAME = "endgame"
@@ -78,7 +78,7 @@ def gap_sweep(g: Graph, w: Potential, grid) -> list[ScheduleSample]:
             continue
         m = (1.0 - s) * lap
         m[np.diag_indices(g.n)] += s * w.values
-        spectrum = solve_ground_and_gap(Hamiltonian(m))
+        spectrum = solve_ground_and_gap(m)
         # Close to s = 1 amplitudes fall below their error bar; the peak
         # structure is then not certifiable and the bulk floor is withheld.
         peaked = spectrum.positive and is_single_peaked(g, spectrum.psi, tol=spectrum.psi_err)

@@ -71,7 +71,7 @@ def build_walk_matrix(g: Graph, w: Potential, spectrum: Spectrum) -> WalkMatrix:
     _require_positive(g, spectrum, "walk transform")
     shift = _shift(g, w)
     energy = spectrum.energy - shift
-    h = assemble(g, w.shifted(-shift)).matrix
+    h = assemble(g, w.shifted(-shift))
     psi = spectrum.psi
     p = (h * psi[np.newaxis, :] / psi[:, np.newaxis]) / energy
     deviation = np.max(np.abs(p.sum(axis=1) - 1.0))

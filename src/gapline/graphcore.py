@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,11 +132,14 @@ class Potential:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+        if arr.size and not math.isfinite(self.spread):
+            raise DomainError("spread max - min overflows float64")
 
     @property
     def spread(self) -> float:
-        """|W| = max - min; zero iff constant."""
-        return float(self.values.max() - self.values.min())
+        """|W| = max - min; zero iff constant.  Taken in Python floats, which
+        overflow to inf without a warning."""
+        return float(self.values.max()) - float(self.values.min())
 
     def __len__(self) -> int:
         return len(self.values)

@@ -21,17 +21,6 @@ RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
-class Hamiltonian:
-    """Symmetric matrix d_x + W(x) on the diagonal, -1 on graph edges."""
-
-    matrix: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Two lowest eigenpairs of a graph Hamiltonian and their error bars
     (both 0, i.e. exact, for a hand-built spectrum)."""
@@ -63,15 +52,16 @@ def laplacian(g: Graph) -> np.ndarray:
     return m
 
 
-def assemble(g: Graph, w: Potential) -> Hamiltonian:
-    """Hamiltonian for graph g and potential w."""
+def assemble(g: Graph, w: Potential) -> np.ndarray:
+    """Dense Hamiltonian for graph g and potential w: d_x + W(x) on the
+    diagonal, -1 on graph edges."""
     check_length(g, len(w), "potential")
     m = laplacian(g)
     m[np.diag_indices(g.n)] += w.values
-    return Hamiltonian(matrix=m)
+    return m
 
 
-def solve_ground_and_gap(h: Hamiltonian) -> Spectrum:
+def solve_ground_and_gap(h: np.ndarray) -> Spectrum:
     """Two lowest eigenpairs by partial dense diagonalization.
 
     The residual ||r|| of both pairs is divided by max(1, ||H||_inf), which
@@ -84,20 +74,20 @@ def solve_ground_and_gap(h: Hamiltonian) -> Spectrum:
     bound on ||psi - exact psi|| (Parlett, ch. 11), inf once the gap is not
     resolved.  README states the premises of both.
     """
-    if h.n < 2:
+    if len(h) < 2:
         raise DomainError("need at least 2 vertices to define a gap")
-    scale = max(1.0, float(np.linalg.norm(h.matrix, np.inf)))
+    scale = max(1.0, float(np.linalg.norm(h, np.inf)))
     res = math.inf
     # Inverse iteration on the partial range cannot split an exactly
     # repeated lowest pair (LAPACK fails or returns non-eigenvectors); the
     # full solve can, and runs only then.
     for subset in ([0, 1], None):
         try:
-            vals, vecs = scipy.linalg.eigh(h.matrix, subset_by_index=subset)
+            vals, vecs = scipy.linalg.eigh(h, subset_by_index=subset)
         except np.linalg.LinAlgError:
             continue
         vals, vecs = vals[:2], vecs[:, :2]
-        res = float(np.linalg.norm((h.matrix @ vecs - vecs * vals) / scale, axis=0).max())
+        res = float(np.linalg.norm((h @ vecs - vecs * vals) / scale, axis=0).max())
         if res <= RESIDUAL_TOL:
             break
     if res > RESIDUAL_TOL:
@@ -111,7 +101,7 @@ def solve_ground_and_gap(h: Hamiltonian) -> Spectrum:
     top = psi[np.argmax(np.abs(psi))]
     if top < 0:
         psi = -psi
-    rounding = (np.count_nonzero(h.matrix, axis=1).max() + 1) * np.finfo(float).eps
+    rounding = (np.count_nonzero(h, axis=1).max() + 1) * np.finfo(float).eps
     gap_err = 2.0 * (res + float(rounding)) * scale
     psi_err = math.sqrt(2.0) * gap_err / 2.0 / (gap - gap_err) if gap > gap_err else math.inf
     return Spectrum(

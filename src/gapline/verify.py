@@ -1,6 +1,7 @@
 """Cross-validation suite against the exact eigensolver on generated
 instances: the caterpillar's closed-form ground state, gap ceiling, gap decay
-rate and single basin; flat-chain gaps; the conductance sandwich and the walk
+rate and single basin, all read from one build and one assembled matrix per
+caterpillar; flat-chain gaps; the conductance sandwich and the walk
 transform, both read from one solve of each random instance; and the
 switching schedule.  The single-peaked, Poincare and endgame bounds are
 checked by the test suite only.  Used by the `verify` CLI subcommand and by
@@ -16,6 +17,8 @@ import numpy as np
 
 from . import adiabatic, bounds, graphcore, spectral
 
+EXTRA_EDGE_PROB = 0.3
+
 
 def random_tree(rng: np.random.Generator, n: int) -> graphcore.Graph:
     """Uniform-attachment random tree on n vertices."""
@@ -23,14 +26,13 @@ def random_tree(rng: np.random.Generator, n: int) -> graphcore.Graph:
     return graphcore.Graph(n, edges)
 
 
-def random_connected_graph(
-    rng: np.random.Generator, n: int, extra_edge_prob: float = 0.3
-) -> graphcore.Graph:
-    """random_tree's spanning tree plus independent extra edges."""
+def random_connected_graph(rng: np.random.Generator, n: int) -> graphcore.Graph:
+    """random_tree's spanning tree plus each other vertex pair as an edge
+    with probability EXTRA_EDGE_PROB."""
     edges = set(random_tree(rng, n).edges)
     for x in range(n):
         for y in range(x + 1, n):
-            if (x, y) not in edges and rng.random() < extra_edge_prob:
+            if (x, y) not in edges and rng.random() < EXTRA_EDGE_PROB:
                 edges.add((x, y))
     return graphcore.Graph(n, sorted(edges))
 
@@ -53,37 +55,36 @@ def _row(check, instance, expected, actual, passed) -> VerifyRow:
     return VerifyRow(check, instance, f"{expected}", f"{actual}", bool(passed))
 
 
-def check_caterpillar_residual(lmax: int) -> list[VerifyRow]:
-    """Closed-form ground state annihilated by the caterpillar Hamiltonian."""
-    rows = []
-    for l in range(2, lmax + 1):
-        g, w, _ = graphcore.build_caterpillar(l)
-        psi = graphcore.caterpillar_ground_state(l)
-        res = float(np.linalg.norm(spectral.assemble(g, w).matrix @ psi))
-        rows.append(
-            _row("caterpillar_residual", f"l={l}", "<= 1e-12", f"{res:.3e}", res <= 1e-12)
-        )
-    return rows
+def check_caterpillar(lmax: int) -> list[VerifyRow]:
+    """Each caterpillar l = 2..lmax built and assembled once, its one matrix
+    shared by the closed-form ground state's residual and the solve.
 
-
-def check_caterpillar_gap(lmax: int) -> list[VerifyRow]:
-    """Solver gap under the variational ceiling 2 (2/3)^(2l-1) with its
-    error bar added (gap + gap_err <= ceiling), and the exponential decay
-    rate of the resolved (non-degenerate) gaps."""
-    rows = []
+    Rows come in three blocks: the residuals; the solver gaps under the
+    variational ceiling 2 (2/3)^(2l-1) with their error bar added
+    (gap + gap_err <= ceiling), then the exponential decay rate of the
+    resolved (non-degenerate) gaps; and the unique local minimum at the
+    central spine vertex with its single basin.
+    """
+    residual_rows, gap_rows, basin_rows = [], [], []
     logs = []
     for l in range(2, lmax + 1):
-        g, w, _ = graphcore.build_caterpillar(l)
-        spec = spectral.solve_ground_and_gap(spectral.assemble(g, w))
+        g, w, labels = graphcore.build_caterpillar(l)
+        h = spectral.assemble(g, w)
+        instance = f"l={l}"
+        res = float(np.linalg.norm(h @ graphcore.caterpillar_ground_state(l)))
+        residual_rows.append(
+            _row("caterpillar_residual", instance, "<= 1e-12", f"{res:.3e}", res <= 1e-12)
+        )
+        spec = spectral.solve_ground_and_gap(h)
         ceiling = 2.0 * (2.0 / 3.0) ** (2 * l - 1)
         if spec.degenerate:
             actual = f"unresolved, <= {spec.gap + spec.gap_err:.1e}"
         else:
             actual = f"{spec.gap:.6e} +- {spec.gap_err:.1e}"
-        rows.append(
+        gap_rows.append(
             _row(
                 "caterpillar_gap",
-                f"l={l}",
+                instance,
                 f"<= {ceiling:.6e}",
                 actual,
                 spec.gap + spec.gap_err <= ceiling,
@@ -93,42 +94,33 @@ def check_caterpillar_gap(lmax: int) -> list[VerifyRow]:
         # from l = 4 up, and only when at least two such sizes are available.
         if l >= 4 and not spec.degenerate:
             logs.append((l, math.log(spec.gap)))
-    if len(logs) < 2:
-        return rows
-    ls, ys = np.array(logs).T
-    slope = float(np.polyfit(ls, ys, 1)[0])
-    target = 2.0 * math.log(2.0 / 3.0)
-    rows.append(
-        _row(
-            "caterpillar_gap_slope",
-            f"l={int(ls[0])}..{int(ls[-1])}",
-            f"{target:.4f} +- 5%",
-            f"{slope:.4f}",
-            abs(slope - target) <= 0.05 * abs(target),
-        )
-    )
-    return rows
-
-
-def check_caterpillar_basin(lmax: int) -> list[VerifyRow]:
-    """Unique local minimum at the central spine vertex; single basin."""
-    rows = []
-    for l in range(2, lmax + 1):
-        g, w, labels = graphcore.build_caterpillar(l)
         minima = graphcore.find_local_minima(g, w)
         expected = {labels[f"B{l}"]}
-        rows.append(
+        basin_rows.append(
             _row(
                 "caterpillar_minima",
-                f"l={l}",
+                instance,
                 f"{sorted(expected)}",
                 f"{sorted(minima)}",
                 minima == expected,
             )
         )
         basin = graphcore.is_single_basin(g, w)
-        rows.append(_row("caterpillar_single_basin", f"l={l}", "True", f"{basin}", basin))
-    return rows
+        basin_rows.append(_row("caterpillar_single_basin", instance, "True", f"{basin}", basin))
+    if len(logs) >= 2:
+        ls, ys = np.array(logs).T
+        slope = float(np.polyfit(ls, ys, 1)[0])
+        target = 2.0 * math.log(2.0 / 3.0)
+        gap_rows.append(
+            _row(
+                "caterpillar_gap_slope",
+                f"l={int(ls[0])}..{int(ls[-1])}",
+                f"{target:.4f} +- 5%",
+                f"{slope:.4f}",
+                abs(slope - target) <= 0.05 * abs(target),
+            )
+        )
+    return residual_rows + gap_rows + basin_rows
 
 
 def check_flat_path_gaps(lmax: int) -> list[VerifyRow]:
@@ -208,9 +200,7 @@ def check_switching() -> list[VerifyRow]:
 def run_verification(lmax: int = 10, seed: int = 0) -> list[VerifyRow]:
     """Full cross-validation suite; `seed` seeds the randomized checks."""
     rows = []
-    rows += check_caterpillar_residual(lmax)
-    rows += check_caterpillar_gap(lmax)
-    rows += check_caterpillar_basin(lmax)
+    rows += check_caterpillar(lmax)
     rows += check_flat_path_gaps(lmax)
     rows += check_sandwich(base_seed=seed)
     rows += check_switching()

@@ -18,7 +18,7 @@ def interpolated(g, w, s):
     return (1 - s) * spectral.laplacian(g) + s * np.diag(w.values)
 
 
-class TestInterpolatedHamiltonian:
+class TestSweepHamiltonian:
     """H(s) as gap_sweep builds it and checks its inputs."""
 
     def test_out_of_range(self):
@@ -37,7 +37,7 @@ class TestInterpolatedHamiltonian:
         original = adiabatic.solve_ground_and_gap
 
         def recording(h, **kwargs):
-            seen.append(h.matrix)
+            seen.append(h)
             return original(h, **kwargs)
 
         monkeypatch.setattr(adiabatic, "solve_ground_and_gap", recording)

@@ -360,7 +360,7 @@ class TestVerify:
 
     def test_unresolved_caterpillar_gaps_fail(self):
         # Near 1e-14 float64 no longer resolves the gap from zero.
-        rows = verify.check_caterpillar_gap(42)
+        rows = [r for r in verify.check_caterpillar(42) if r.check.startswith("caterpillar_gap")]
         *gaps, slope = rows
         assert gaps[-1].instance == "l=42"
         assert gaps[-1].actual.startswith("unresolved") and not gaps[-1].passed
@@ -388,6 +388,26 @@ class TestVerify:
         monkeypatch.setattr(spectral, "solve_ground_and_gap", counted)
         verify.run_verification(lmax=10)
         assert len(calls) == 118
+
+    def test_one_caterpillar_build_and_assembly_per_size(self, monkeypatch):
+        # Caterpillars l = 2..10 are built and assembled once each; with 9
+        # flat paths and the 100 random instances that is 118 assemblies.
+        # The walk's shifted matrix goes through bounds' own binding.
+        counts = {"build": 0, "assemble": 0}
+        build, assemble = graphcore.build_caterpillar, spectral.assemble
+
+        def counted_build(l):
+            counts["build"] += 1
+            return build(l)
+
+        def counted_assemble(g, w):
+            counts["assemble"] += 1
+            return assemble(g, w)
+
+        monkeypatch.setattr(graphcore, "build_caterpillar", counted_build)
+        monkeypatch.setattr(spectral, "assemble", counted_assemble)
+        verify.run_verification(lmax=10)
+        assert counts == {"build": 9, "assemble": 118}
 
     def test_does_not_load_scipy_integrate(self):
         # A fresh interpreter, so no other test has imported the module.
@@ -480,6 +500,15 @@ class TestUsage:
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".gapline-")]
         assert leftovers == []
         assert out.exists()
+
+    @pytest.mark.parametrize("command", ["gap", "bounds", "sweep"])
+    def test_overflowing_potential_spread(self, tmp_path, capsys, command):
+        # Both entries are finite; max - min is not.
+        path = tmp_path / "wide.json"
+        path.write_text('{"n": 2, "edges": [[0, 1]], "potential": [1e308, -1e308]}')
+        code, stdout, err = run(capsys, command, str(path))
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: ") and '"potential"' in err
 
     @pytest.mark.parametrize("command", ["gap", "bounds", "sweep"])
     def test_directory_as_input(self, tmp_path, capsys, command):

@@ -51,6 +51,11 @@ class TestPotential:
         assert graphcore.Potential([0.0]) == graphcore.Potential([-0.0])
         assert hash(graphcore.Potential([0.0])) == hash(graphcore.Potential([-0.0]))
 
+    def test_overflowing_spread_rejected(self):
+        with pytest.raises(DomainError, match="spread"):
+            graphcore.Potential([1e308, -1e308])
+        assert graphcore.Potential([1e308, 0.0]).spread == 1e308
+
 
 class TestBuildPath:
     def test_degenerate_single_vertex(self):
@@ -390,6 +395,10 @@ class TestGraphIO:
     def test_wrong_potential_length(self):
         with pytest.raises(ParseError, match='"potential"'):
             graphcore.read_graph('{"n": 2, "edges": [[0, 1]], "potential": [1.0]}')
+
+    def test_overflowing_potential_spread(self):
+        with pytest.raises(ParseError, match='"potential"'):
+            graphcore.read_graph('{"n": 2, "edges": [[0, 1]], "potential": [1e308, -1e308]}')
 
     def test_out_of_range_edge(self):
         with pytest.raises(ParseError, match='"edges"'):

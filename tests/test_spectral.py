@@ -18,22 +18,22 @@ def flat(n):
 class TestAssemble:
     def test_single_edge_laplacian(self):
         h = spectral.assemble(graphcore.build_path(2), flat(2))
-        assert np.array_equal(h.matrix, [[1, -1], [-1, 1]])
+        assert np.array_equal(h, [[1, -1], [-1, 1]])
 
     def test_diagonal_shift(self):
         h = spectral.assemble(graphcore.build_path(2), graphcore.Potential([-3, -3]))
-        assert np.array_equal(h.matrix, [[-2, -1], [-1, -2]])
+        assert np.array_equal(h, [[-2, -1], [-1, -2]])
 
     def test_caterpillar_null_vector(self):
         g, w, _ = graphcore.build_caterpillar(4)
         h = spectral.assemble(g, w)
         psi = graphcore.caterpillar_ground_state(4)
-        assert np.linalg.norm(h.matrix @ psi) < 1e-13
+        assert np.linalg.norm(h @ psi) < 1e-13
 
     def test_symmetry_and_sparsity(self):
         rng = np.random.default_rng(3)
         g = random_connected_graph(rng, 9)
-        h = spectral.assemble(g, random_potential(rng, 9)).matrix
+        h = spectral.assemble(g, random_potential(rng, 9))
         assert np.array_equal(h, h.T)
         edge_set = set(g.edges)
         for x in range(9):
@@ -76,9 +76,7 @@ class TestSolveGroundAndGap:
 
     def test_results_compare_by_identity(self):
         h = spectral.assemble(graphcore.build_path(3), flat(3))
-        h2 = spectral.assemble(graphcore.build_path(3), flat(3))
-        spec, spec2 = spectral.solve_ground_and_gap(h), spectral.solve_ground_and_gap(h2)
-        assert h == h and h != h2 and len({h, h2}) == 2
+        spec, spec2 = spectral.solve_ground_and_gap(h), spectral.solve_ground_and_gap(h)
         assert spec == spec and spec != spec2 and len({spec, spec2}) == 2
 
     def test_psi_positive_unit(self):
@@ -149,7 +147,7 @@ class TestSolveGroundAndGap:
             assert vals[-1] <= 2 * g.max_degree + 1e-12
 
     def test_bad_inputs(self):
-        one = spectral.Hamiltonian(matrix=np.zeros((1, 1)))
+        one = np.zeros((1, 1))
         with pytest.raises(DomainError):
             spectral.solve_ground_and_gap(one)
 
@@ -185,7 +183,7 @@ class TestErrorBars:
     def test_bars_from_the_residual(self):
         h = spectral.assemble(graphcore.build_path(6), graphcore.Potential([3.0, 0, 1, 0, 2, 5]))
         spec = spectral.solve_ground_and_gap(h)
-        scale = max(1.0, np.linalg.norm(h.matrix, np.inf))
+        scale = max(1.0, np.linalg.norm(h, np.inf))
         # At most 3 nonzeros in a row of a path Hamiltonian: rounding 4 eps.
         eps = np.finfo(float).eps
         assert spec.gap_err == pytest.approx(2 * (spec.residual + 4 * eps) * scale)
@@ -239,8 +237,8 @@ class TestTwoLowestPairs:
     def check_against_full_reference(g, w):
         h = spectral.assemble(g, w)
         spec = spectral.solve_ground_and_gap(h)
-        ref = np.linalg.eigvalsh(h.matrix)
-        tol = 1e-12 * max(1.0, np.linalg.norm(h.matrix, 2))
+        ref = np.linalg.eigvalsh(h)
+        tol = 1e-12 * max(1.0, np.linalg.norm(h, 2))
         assert spec.energy == pytest.approx(ref[0], abs=tol)
         assert spec.gap == pytest.approx(ref[1] - ref[0], abs=tol)
         assert np.linalg.norm(spec.psi) == pytest.approx(1.0, abs=1e-12)
@@ -299,7 +297,7 @@ class TestResidualAndRayleigh:
         g, w, _ = graphcore.build_caterpillar(l)
         h = spectral.assemble(g, w)
         psi = graphcore.caterpillar_ground_state(l)
-        assert np.linalg.norm(h.matrix @ psi) / np.linalg.norm(psi) <= 1e-12
+        assert np.linalg.norm(h @ psi) / np.linalg.norm(psi) <= 1e-12
 
 
 class TestTwoLobeTrialState:
@@ -314,7 +312,7 @@ class TestTwoLobeTrialState:
         h = spectral.assemble(g, w)
         psi = graphcore.caterpillar_ground_state(4)
         phi = spectral.two_lobe_trial_state(4, psi)
-        assert phi @ (h.matrix @ phi) == pytest.approx(2 * (2 / 3) ** 7, rel=1e-12)
+        assert phi @ (h @ phi) == pytest.approx(2 * (2 / 3) ** 7, rel=1e-12)
 
     @pytest.mark.parametrize("l", range(2, 12))
     def test_norm_exceeds_one_and_bounds_gap(self, l):
@@ -323,7 +321,7 @@ class TestTwoLobeTrialState:
         psi = graphcore.caterpillar_ground_state(l)
         phi = spectral.two_lobe_trial_state(l, psi)
         assert phi @ phi > 1.0
-        assert phi @ (h.matrix @ phi) / (phi @ phi) <= 2 * (2 / 3) ** (2 * l - 1)
+        assert phi @ (h @ phi) / (phi @ phi) <= 2 * (2 / 3) ** (2 * l - 1)
 
     def test_wrong_dimension(self):
         with pytest.raises(DimensionError):
